@@ -1,82 +1,13 @@
-//! The persistent layer: one JSON file per cache entry.
+//! How a disk-tier lookup resolved.
 //!
-//! Entries are written atomically (write to a `.tmp` sibling, then rename
-//! into place) so a concurrent reader — another process sharing the cache
-//! directory, or a crashed writer's successor — never observes a torn file.
-//! Reads are lazy: the disk is only consulted on an in-memory miss, and
-//! anything unreadable is treated as a miss, never an error. [`LoadOutcome`]
-//! classifies the misses: a file that no longer *parses* (torn, truncated,
-//! or garbage — something atomic rename should have made impossible, so
-//! likely bit rot or an interrupted foreign writer) is **quarantined**,
-//! renamed to `*.quarantine` so it is inspected once, never re-parsed on
-//! every lookup; version or fingerprint mismatches are plain misses (the
-//! cache's normal degradation mode — old formats and renamed files are
-//! well-formed, just not usable).
-//!
-//! Writes retry transient failures a bounded number of times with a small
-//! deterministic jittered backoff; opening a directory runs a recovery scan
-//! that reports quarantined entries and sweeps orphaned temp files from
-//! crashed writers. Both paths carry [`fault_point!`](zac_telemetry::fault_point)s
-//! (`cache.disk.read`, `cache.disk.write`) so the failure handling is
-//! exercised deterministically under an armed `ZAC_FAULTS` plan.
-//!
-//! Since envelope v2 the entry body *is* the versioned [`CompileOutput`]
-//! document from `zac_core::output_json` — the same schema the serving
-//! layer streams to clients — wrapped with the cache key's fingerprints.
-//! One schema, one golden lock, no drift between what the cache persists
-//! and what the service returns.
+//! The disk tier itself is [`crate::segment::SegmentStore`]; this module
+//! holds the classification its lookups return. Reads are lazy (the disk is
+//! only consulted on an in-memory miss) and never an error at the cache's
+//! API surface: every failure degrades to a miss, and [`LoadOutcome`] says
+//! which kind, so `CompileCache` can count corruption and failed reads
+//! apart from ordinary absence.
 
-use crate::CacheKey;
-use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 use zac_core::CompileOutput;
-
-/// On-disk format version. Bump whenever the entry envelope *or* the
-/// fingerprint scheme (`zac_circuit::Fingerprint`'s golden tests) changes;
-/// entries with any other version are ignored as misses.
-///
-/// v2 replaced the inlined summary/report/timing fields with the embedded
-/// [`CompileOutput`] envelope; v1 entries are treated as misses and
-/// recompiled, which is the cache's normal degradation mode.
-pub const DISK_FORMAT_VERSION: u64 = 2;
-
-/// The serialized envelope of one cache entry.
-///
-/// Fingerprints are stored as 16-digit hex strings: the stand-in JSON
-/// number model is `f64`-backed, which cannot represent all `u64` values
-/// exactly (> 2^53), and a silently rounded fingerprint would corrupt
-/// lookups.
-struct DiskEntry {
-    version: u64,
-    circuit_fp: String,
-    compiler_fp: String,
-    output: CompileOutput,
-}
-
-impl Serialize for DiskEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".into(), self.version.to_value()),
-            ("circuit_fp".into(), self.circuit_fp.to_value()),
-            ("compiler_fp".into(), self.compiler_fp.to_value()),
-            ("output".into(), self.output.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DiskEntry {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = ObjectView::new(v)?;
-        Ok(Self {
-            version: obj.field("version")?,
-            circuit_fp: obj.field("circuit_fp")?,
-            compiler_fp: obj.field("compiler_fp")?,
-            output: obj.field("output")?,
-        })
-    }
-}
 
 /// How a disk lookup resolved — the classification behind `CompileCache`'s
 /// `quarantined` / `disk_errors` counters.
@@ -84,359 +15,14 @@ impl Deserialize for DiskEntry {
 pub enum LoadOutcome {
     /// The entry was present, intact, and keyed correctly.
     Hit(Box<CompileOutput>),
-    /// No usable entry: absent file, or a well-formed entry whose version
-    /// or fingerprints do not match (normal degradation, recompile).
+    /// No record for the key (never written, tombstoned, or its segment
+    /// was compacted away); recompile.
     Miss,
-    /// The file existed but did not parse as JSON; it has been renamed to
-    /// `*.quarantine` and the lookup proceeds as a clean miss.
+    /// The key was indexed but its payload no longer decodes (bit rot
+    /// after the checksum passed at scan time). The record is dropped from
+    /// the index and the lookup proceeds as a clean miss.
     Quarantined,
     /// The read itself failed (filesystem error or an injected
     /// `cache.disk.read` fault); a miss, but counted as a disk error.
     ReadError,
-}
-
-/// What [`DiskLayer::new`]'s recovery scan found in the directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// `*.quarantine` files present (from this or earlier runs) — corrupt
-    /// entries set aside for inspection.
-    pub quarantined: usize,
-    /// Orphaned `*.tmp.*` files swept away (debris from crashed writers).
-    pub tmp_removed: usize,
-}
-
-/// Transient-write retry budget: 1 initial attempt + 2 retries.
-const STORE_ATTEMPTS: u32 = 3;
-
-/// The disk layer of a `CompileCache`: a directory of JSON entries.
-pub struct DiskLayer {
-    dir: PathBuf,
-    recovery: RecoveryReport,
-}
-
-impl DiskLayer {
-    /// Opens (creating if needed) a cache directory, then runs a recovery
-    /// scan: orphaned temp files from crashed writers are removed, and
-    /// quarantined entries are counted into the [`RecoveryReport`]
-    /// (available via [`recovery`](Self::recovery)).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] if the directory cannot be created or scanned.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let mut recovery = RecoveryReport::default();
-        for entry in fs::read_dir(&dir)? {
-            let Ok(entry) = entry else { continue };
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".quarantine") {
-                recovery.quarantined += 1;
-            } else if name.contains(".tmp.") {
-                // Temp names are unique per (pid, write): anything still
-                // here belongs to a writer that died mid-store.
-                if fs::remove_file(entry.path()).is_ok() {
-                    recovery.tmp_removed += 1;
-                }
-            }
-        }
-        Ok(Self { dir, recovery })
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// What the opening recovery scan found.
-    pub fn recovery(&self) -> RecoveryReport {
-        self.recovery
-    }
-
-    /// Path of `key`'s entry file.
-    pub fn entry_path(&self, key: CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.file_stem()))
-    }
-
-    /// Loads `key`'s entry, if present and intact (the [`LoadOutcome::Miss`]
-    /// folding of [`load_classified`](Self::load_classified)).
-    pub fn load(&self, key: CacheKey) -> Option<CompileOutput> {
-        match self.load_classified(key) {
-            LoadOutcome::Hit(out) => Some(*out),
-            _ => None,
-        }
-    }
-
-    /// Loads `key`'s entry and says *how* the lookup resolved. Never an
-    /// error: every failure mode degrades to a (classified) miss, and a
-    /// file that fails to parse is quarantined on the spot so the corrupt
-    /// bytes are kept for inspection without being re-read on every lookup.
-    pub fn load_classified(&self, key: CacheKey) -> LoadOutcome {
-        let path = self.entry_path(key);
-        if zac_telemetry::fault_point!("cache.disk.read").is_some() {
-            return LoadOutcome::ReadError;
-        }
-        // Raw bytes, not `read_to_string`: garbage that isn't UTF-8 is
-        // *corruption* (quarantine below), not a read error — only the read
-        // itself failing counts as one.
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return LoadOutcome::Miss,
-            Err(_) => return LoadOutcome::ReadError,
-        };
-        let entry = std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|text| serde_json::from_str::<DiskEntry>(text).ok());
-        let Some(entry) = entry else {
-            // Torn, truncated, or garbage: set the bytes aside. If the
-            // rename fails (another reader quarantined it first, or the
-            // filesystem is unhappy) the entry is simply gone next lookup.
-            fs::rename(&path, path.with_extension("quarantine")).ok();
-            return LoadOutcome::Quarantined;
-        };
-        if entry.version != DISK_FORMAT_VERSION
-            || entry.circuit_fp != format!("{:016x}", key.circuit)
-            || entry.compiler_fp != format!("{:016x}", key.compiler)
-        {
-            return LoadOutcome::Miss;
-        }
-        let mut out = entry.output;
-        // The disk layer hands back pristine outputs; the in-memory layer
-        // owns the `from_cache` marking on hits.
-        out.from_cache = false;
-        LoadOutcome::Hit(Box::new(out))
-    }
-
-    /// Persists `key → output` atomically (temp file + rename), retrying
-    /// transient failures up to twice with a small deterministic jittered
-    /// backoff. Returns how many retries were needed (0 on a clean write).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] once the retry budget is exhausted, or immediately
-    /// with `InvalidData` if the output contains non-finite numbers (JSON
-    /// cannot represent them; such an output is an upstream compiler bug
-    /// and must not poison the cache — retrying cannot help).
-    pub fn store(&self, key: CacheKey, output: &CompileOutput) -> io::Result<u64> {
-        let mut pristine = output.clone();
-        pristine.from_cache = false;
-        let entry = DiskEntry {
-            version: DISK_FORMAT_VERSION,
-            circuit_fp: format!("{:016x}", key.circuit),
-            compiler_fp: format!("{:016x}", key.compiler),
-            output: pristine,
-        };
-        let value = entry.to_value();
-        if !value.all_numbers_finite() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("cache entry for `{}` contains non-finite numbers", output.summary.name),
-            ));
-        }
-        let json = serde_json::to_string(&value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-
-        let mut retries = 0u64;
-        loop {
-            let err = match self.write_once(key, &json) {
-                Ok(()) => return Ok(retries),
-                Err(e) => e,
-            };
-            // Deterministic failures (non-finite data is caught above, but
-            // e.g. a read-only filesystem also returns the same error every
-            // time) still burn the budget — the classification a kernel
-            // gives us is not reliable enough to special-case, and two
-            // extra millisecond-scale attempts are cheap.
-            if err.kind() == io::ErrorKind::InvalidData || retries + 1 >= u64::from(STORE_ATTEMPTS)
-            {
-                return Err(err);
-            }
-            retries += 1;
-            std::thread::sleep(backoff(key, retries));
-        }
-    }
-
-    /// One atomic write attempt: temp file + rename, temp removed on error.
-    fn write_once(&self, key: CacheKey, json: &str) -> io::Result<()> {
-        if let Some(e) = zac_telemetry::fault_point!("cache.disk.write") {
-            return Err(e);
-        }
-        let path = self.entry_path(key);
-        // Unique per writer (pid + in-process counter): two threads or
-        // processes racing on the same key must not truncate each other's
-        // temp file mid-write, or the rename would publish a torn entry.
-        static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = path.with_extension(format!(
-            "json.tmp.{}.{}",
-            std::process::id(),
-            WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        // On any failure past this point remove the temp file: its name is
-        // unique per write, so an orphan would never be overwritten and a
-        // shared cache directory would accumulate garbage across runs.
-        fs::write(&tmp, json).and_then(|()| fs::rename(&tmp, &path)).inspect_err(|_| {
-            fs::remove_file(&tmp).ok();
-        })
-    }
-}
-
-/// Retry backoff: ~0.5 ms doubling per attempt, jittered by a hash of
-/// (key, attempt) so concurrent writers racing on one entry spread out —
-/// deterministically, keeping the no-RNG-in-tree invariant. Shared with the
-/// segment tier's append retry loop.
-pub(crate) fn backoff(key: CacheKey, attempt: u64) -> std::time::Duration {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [key.circuit, key.compiler, attempt] {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    let base_us = 500u64 << (attempt - 1).min(4);
-    std::time::Duration::from_micros(base_us + h % base_us)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::test_support::{sample_output, temp_cache_dir};
-
-    fn key() -> CacheKey {
-        CacheKey { circuit: 0xdead_beef_0123_4567, compiler: 0xfeed_face_89ab_cdef }
-    }
-
-    #[test]
-    fn roundtrips_output_exactly() {
-        let dir = temp_cache_dir("disk-roundtrip");
-        let layer = DiskLayer::new(&dir).unwrap();
-        let out = sample_output("rt", 3);
-        layer.store(key(), &out).unwrap();
-        let back = layer.load(key()).expect("entry loads");
-        assert_eq!(back.summary, out.summary);
-        assert_eq!(back.report, out.report);
-        assert_eq!(back.counts, out.counts);
-        assert_eq!(back.compile_time, out.compile_time);
-        assert_eq!(back.phases, out.phases, "phase breakdown round-trips");
-        assert!(!back.from_cache, "disk layer returns pristine outputs");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The entry body is the shared `CompileOutput` envelope verbatim, so
-    /// what the cache persists and what the service streams never drift.
-    #[test]
-    fn entry_embeds_the_compile_output_envelope() {
-        let dir = temp_cache_dir("disk-envelope");
-        let layer = DiskLayer::new(&dir).unwrap();
-        let out = sample_output("env", 2);
-        layer.store(key(), &out).unwrap();
-        let text = fs::read_to_string(layer.entry_path(key())).unwrap();
-        let mut pristine = out.clone();
-        pristine.from_cache = false;
-        let embedded = format!("\"output\":{}", pristine.to_json().unwrap());
-        assert!(text.starts_with(&format!("{{\"version\":{DISK_FORMAT_VERSION},")), "{text}");
-        assert!(text.ends_with(&format!("{embedded}}}")), "{text}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn no_tmp_files_left_behind() {
-        let dir = temp_cache_dir("disk-tmp");
-        let layer = DiskLayer::new(&dir).unwrap();
-        layer.store(key(), &sample_output("t", 1)).unwrap();
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_version_mismatch_and_absence_are_misses() {
-        let dir = temp_cache_dir("disk-miss");
-        let layer = DiskLayer::new(&dir).unwrap();
-        assert!(layer.load(key()).is_none(), "absent file");
-
-        fs::write(layer.entry_path(key()), "{ not json").unwrap();
-        assert!(layer.load(key()).is_none(), "corrupt file");
-
-        layer.store(key(), &sample_output("v", 1)).unwrap();
-        let text = fs::read_to_string(layer.entry_path(key())).unwrap();
-        // The outer (first) version tag is the disk envelope's; the inner
-        // one belongs to the embedded CompileOutput document.
-        fs::write(layer.entry_path(key()), text.replacen("\"version\":2", "\"version\":999", 1))
-            .unwrap();
-        assert!(layer.load(key()).is_none(), "future version");
-
-        // Pre-v2 (v1) entries are misses too — the v1 body shape no longer
-        // parses, and even a well-formed v1 tag fails the version gate.
-        fs::write(layer.entry_path(key()), text.replacen("\"version\":2", "\"version\":1", 1))
-            .unwrap();
-        assert!(layer.load(key()).is_none(), "v1 entry");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn renamed_entry_fails_fingerprint_check() {
-        let dir = temp_cache_dir("disk-rename");
-        let layer = DiskLayer::new(&dir).unwrap();
-        layer.store(key(), &sample_output("mv", 1)).unwrap();
-        let other = CacheKey { circuit: 1, compiler: 2 };
-        fs::rename(layer.entry_path(key()), layer.entry_path(other)).unwrap();
-        assert!(layer.load(other).is_none(), "stored fingerprints beat the filename");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_entries_are_quarantined_not_reparsed() {
-        let dir = temp_cache_dir("disk-quarantine");
-        let layer = DiskLayer::new(&dir).unwrap();
-        fs::write(layer.entry_path(key()), "{\"version\":2,\"circ").unwrap();
-
-        assert!(matches!(layer.load_classified(key()), LoadOutcome::Quarantined));
-        let quarantine = layer.entry_path(key()).with_extension("quarantine");
-        assert!(quarantine.exists(), "corrupt bytes are set aside");
-        assert!(!layer.entry_path(key()).exists(), "the entry slot is freed");
-        // The next lookup is a plain miss — the corrupt file is gone.
-        assert!(matches!(layer.load_classified(key()), LoadOutcome::Miss));
-
-        // A fresh store reclaims the slot; the quarantined bytes survive.
-        layer.store(key(), &sample_output("q", 1)).unwrap();
-        assert!(matches!(layer.load_classified(key()), LoadOutcome::Hit(_)));
-        assert!(quarantine.exists());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_scan_counts_quarantine_and_sweeps_orphan_temps() {
-        let dir = temp_cache_dir("disk-recovery");
-        {
-            let layer = DiskLayer::new(&dir).unwrap();
-            assert_eq!(layer.recovery(), RecoveryReport::default(), "fresh directory");
-            layer.store(key(), &sample_output("r", 1)).unwrap();
-        }
-        // Simulate a crashed writer and an earlier quarantine.
-        fs::write(dir.join("0000000000000001-0000000000000002.json.tmp.999.0"), "torn").unwrap();
-        fs::write(dir.join("dead-beef.quarantine"), "garbage").unwrap();
-
-        let layer = DiskLayer::new(&dir).unwrap();
-        assert_eq!(layer.recovery(), RecoveryReport { quarantined: 1, tmp_removed: 1 });
-        assert!(!dir.join("0000000000000001-0000000000000002.json.tmp.999.0").exists());
-        assert!(layer.load(key()).is_some(), "intact entries survive recovery");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn non_finite_outputs_are_rejected() {
-        let dir = temp_cache_dir("disk-nan");
-        let layer = DiskLayer::new(&dir).unwrap();
-        let mut out = sample_output("nan", 1);
-        out.summary.duration_us = f64::NAN;
-        let err = layer.store(key(), &out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(layer.load(key()).is_none());
-        fs::remove_dir_all(&dir).ok();
-    }
 }

@@ -17,10 +17,9 @@
 //!   [`CompileOutput`] clones, sized in entries, with cost-aware eviction
 //!   (cheap-to-recompute entries evict before expensive ones at comparable
 //!   recency);
-//! * a disk tier — either [`disk::DiskLayer`] (one versioned JSON file per
-//!   entry; the legacy layout) or [`segment::SegmentStore`] (an append-only
+//! * an optional disk tier, [`segment::SegmentStore`] — an append-only
 //!   segment log with an in-memory index, compaction, crash-safe tail
-//!   recovery, and advisory cross-process sharing), consulted lazily on
+//!   recovery, and advisory cross-process sharing — consulted lazily on
 //!   in-memory misses and shared across processes.
 //!
 //! [`CompileCache`] composes the layers behind one `get`/`put` API with
@@ -58,7 +57,7 @@ pub mod disk;
 pub mod lru;
 pub mod segment;
 
-use disk::DiskLayer;
+use disk::LoadOutcome;
 use lru::ShardedLru;
 use segment::{SegmentStats, SegmentStore};
 use std::io;
@@ -85,11 +84,6 @@ impl CacheKey {
     pub fn compute(compiler: &dyn Compiler, staged: &StagedCircuit) -> Self {
         Self { circuit: staged.fingerprint(), compiler: compiler.fingerprint() }
     }
-
-    /// Filesystem-safe stem for the disk layer: two 16-digit hex halves.
-    pub fn file_stem(&self) -> String {
-        format!("{:016x}-{:016x}", self.circuit, self.compiler)
-    }
 }
 
 /// A monotonically counted snapshot of cache activity.
@@ -110,7 +104,7 @@ pub struct CacheStats {
     /// Disk store/load failures ignored at the API surface (I/O errors,
     /// non-finite outputs) — nonzero values merit investigation.
     pub disk_errors: u64,
-    /// Corrupt disk entries renamed to `*.quarantine` and treated as clean
+    /// Corrupt disk records dropped from the index and treated as clean
     /// misses (see [`disk::LoadOutcome::Quarantined`]).
     pub quarantined: u64,
     /// Transient disk-write failures absorbed by the store retry loop
@@ -150,40 +144,9 @@ struct Counters {
     disk_retries: AtomicU64,
 }
 
-/// The persistent layer behind the in-memory LRU.
-enum DiskTier {
-    /// Legacy layout: one versioned JSON file per entry.
-    PerFile(DiskLayer),
-    /// Segment-log layout: append-only records, shared across processes.
-    Segment(Box<SegmentStore>),
-}
-
-impl DiskTier {
-    fn load_classified(&self, key: CacheKey) -> disk::LoadOutcome {
-        match self {
-            DiskTier::PerFile(d) => d.load_classified(key),
-            DiskTier::Segment(s) => s.load_classified(key),
-        }
-    }
-
-    fn store(&self, key: CacheKey, output: &CompileOutput) -> io::Result<u64> {
-        match self {
-            DiskTier::PerFile(d) => d.store(key, output),
-            DiskTier::Segment(s) => s.append(key, output),
-        }
-    }
-
-    fn dir(&self) -> &std::path::Path {
-        match self {
-            DiskTier::PerFile(d) => d.dir(),
-            DiskTier::Segment(s) => s.dir(),
-        }
-    }
-}
-
 struct Inner {
     lru: ShardedLru,
-    disk: Option<DiskTier>,
+    disk: Option<SegmentStore>,
     counters: Counters,
 }
 
@@ -232,33 +195,11 @@ impl CompileCache {
         }
     }
 
-    /// A cache backed by a persistent directory: misses fall through to
-    /// `dir`, and every `put` is also written there (atomically), so a
-    /// second process — or a second run — starts warm.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] if the directory cannot be created.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_disk(capacity: usize, dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Ok(Self {
-            inner: Arc::new(Inner {
-                lru: ShardedLru::new(capacity),
-                disk: Some(DiskTier::PerFile(DiskLayer::new(dir)?)),
-                counters: Counters::default(),
-            }),
-        })
-    }
-
     /// A cache backed by the segment-log store: misses fall through to the
-    /// log's index, every `put` appends a record, and N processes opening
-    /// the same `dir` share one store (each appends to its own active
-    /// segment; readers pick up foreign records on miss). Legacy per-file
-    /// entries already in `dir` are still readable and migrate into the log
-    /// on first read.
+    /// log's index, every `put` appends a record, so a second process — or
+    /// a second run — starts warm. N processes opening the same `dir` share
+    /// one store (each appends to its own active segment; readers pick up
+    /// foreign records on miss).
     ///
     /// # Errors
     ///
@@ -272,7 +213,7 @@ impl CompileCache {
         Ok(Self {
             inner: Arc::new(Inner {
                 lru: ShardedLru::new(capacity),
-                disk: Some(DiskTier::Segment(Box::new(SegmentStore::open(dir)?))),
+                disk: Some(SegmentStore::open(dir)?),
                 counters: Counters::default(),
             }),
         })
@@ -291,7 +232,7 @@ impl CompileCache {
         }
         if let Some(disk) = &self.inner.disk {
             match disk.load_classified(key) {
-                disk::LoadOutcome::Hit(out) => {
+                LoadOutcome::Hit(out) => {
                     let mut out = *out;
                     c.disk_hits.fetch_add(1, Ordering::Relaxed);
                     metrics::CACHE_DISK_HITS.incr();
@@ -301,15 +242,15 @@ impl CompileCache {
                     out.from_cache = true;
                     return Some(out);
                 }
-                disk::LoadOutcome::Quarantined => {
+                LoadOutcome::Quarantined => {
                     c.quarantined.fetch_add(1, Ordering::Relaxed);
                     metrics::CACHE_DISK_QUARANTINED.incr();
                 }
-                disk::LoadOutcome::ReadError => {
+                LoadOutcome::ReadError => {
                     c.disk_errors.fetch_add(1, Ordering::Relaxed);
                     metrics::CACHE_DISK_READ_ERRORS.incr();
                 }
-                disk::LoadOutcome::Miss => {}
+                LoadOutcome::Miss => {}
             }
         }
         c.misses.fetch_add(1, Ordering::Relaxed);
@@ -325,7 +266,7 @@ impl CompileCache {
         let mut pristine = output.clone();
         pristine.from_cache = false;
         if let Some(disk) = &self.inner.disk {
-            match disk.store(key, &pristine) {
+            match disk.append(key, &pristine) {
                 Ok(retries) => {
                     c.disk_writes.fetch_add(1, Ordering::Relaxed);
                     c.disk_retries.fetch_add(retries, Ordering::Relaxed);
@@ -366,23 +307,10 @@ impl CompileCache {
         }
     }
 
-    /// What the disk layer's opening recovery scan found (`None` for
-    /// memory-only caches). For the segment tier this reports the legacy
-    /// per-file sweep that runs beneath it.
-    pub fn recovery_report(&self) -> Option<disk::RecoveryReport> {
-        self.inner.disk.as_ref().map(|tier| match tier {
-            DiskTier::PerFile(d) => d.recovery(),
-            DiskTier::Segment(s) => s.legacy().recovery(),
-        })
-    }
-
     /// Segment-store counters (`None` unless built with
     /// [`with_segment_store`](Self::with_segment_store)).
     pub fn segment_stats(&self) -> Option<SegmentStats> {
-        match self.inner.disk.as_ref()? {
-            DiskTier::Segment(s) => Some(s.stats()),
-            DiskTier::PerFile(_) => None,
-        }
+        self.inner.disk.as_ref().map(SegmentStore::stats)
     }
 
     /// Preloads the manifest's cells from the disk tier into the memory
@@ -390,36 +318,22 @@ impl CompileCache {
     /// rehydration per request. Cells absent from disk are skipped (they
     /// warm naturally on first compile). A memory-only cache warms nothing.
     ///
-    /// The segment tier services this with one sequential read per touched
+    /// The segment store services this with one sequential read per touched
     /// segment rather than one lookup per cell.
     pub fn warm_from_manifest(&self, manifest: &CorpusManifest) -> WarmReport {
         let mut report = WarmReport { requested: manifest.len(), warmed: 0 };
-        let Some(tier) = self.inner.disk.as_ref() else { return report };
+        let Some(store) = self.inner.disk.as_ref() else { return report };
         let keys: Vec<CacheKey> = manifest
             .entries
             .iter()
             .map(|e| CacheKey { circuit: e.circuit, compiler: e.compiler })
             .collect();
         let c = &self.inner.counters;
-        let mut insert = |key: CacheKey, out: CompileOutput| {
+        for (key, out) in store.bulk_load(&keys) {
             let evicted = self.inner.lru.insert(key, out);
             c.evictions.fetch_add(evicted, Ordering::Relaxed);
             metrics::CACHE_EVICTIONS.add(evicted);
             report.warmed += 1;
-        };
-        match tier {
-            DiskTier::Segment(s) => {
-                for (key, out) in s.bulk_load(&keys) {
-                    insert(key, out);
-                }
-            }
-            DiskTier::PerFile(d) => {
-                for key in keys {
-                    if let disk::LoadOutcome::Hit(out) = d.load_classified(key) {
-                        insert(key, *out);
-                    }
-                }
-            }
         }
         report
     }
@@ -647,13 +561,13 @@ mod tests {
         let staged = preprocess(&bench_circuits::ghz(9));
         let cold_report;
         {
-            let cache = CompileCache::with_disk(32, &dir).unwrap();
+            let cache = CompileCache::with_segment_store(32, &dir).unwrap();
             let zac = CachedCompiler::new(quick_zac(), cache.clone());
             cold_report = zac.compile(&staged).unwrap().report;
             assert_eq!(cache.stats().disk_writes, 1);
         }
         // A brand-new process-like cache over the same directory.
-        let cache = CompileCache::with_disk(32, &dir).unwrap();
+        let cache = CompileCache::with_segment_store(32, &dir).unwrap();
         let zac = CachedCompiler::new(Counting::new(quick_zac()), cache.clone());
         let warm = zac.compile(&staged).unwrap();
         assert_eq!(zac.into_inner().calls.into_inner(), 0, "served entirely from disk");
@@ -681,12 +595,6 @@ mod tests {
         assert_eq!(stats.resident, 1);
     }
 
-    #[test]
-    fn key_file_stem_is_stable_hex() {
-        let key = CacheKey { circuit: 0xABC, compiler: 0x1 };
-        assert_eq!(key.file_stem(), "0000000000000abc-0000000000000001");
-    }
-
     /// Regression (PR 7): warm rows must report the place/schedule phase
     /// split — a memory hit may not drop `PhaseTimings`.
     #[test]
@@ -701,24 +609,24 @@ mod tests {
         assert_eq!(warm.phases, Some(phases), "memory hit kept the phase split");
     }
 
-    /// Regression (PR 7): the phase split survives the disk envelope too
-    /// (persisted via `opt_fields`, restored on load), so a fresh process
-    /// warming from disk still reports phases.
+    /// Regression: the phase split survives the disk record too
+    /// (persisted in the binary payload, restored on load), so a fresh
+    /// process warming from disk still reports phases.
     #[test]
     fn disk_hit_preserves_phase_timings() {
         let dir = temp_cache_dir("phase-roundtrip");
         let staged = preprocess(&bench_circuits::ghz(9));
         let phases;
         {
-            let cache = CompileCache::with_disk(32, &dir).unwrap();
+            let cache = CompileCache::with_segment_store(32, &dir).unwrap();
             let zac = CachedCompiler::new(quick_zac(), cache);
             phases = zac.compile(&staged).unwrap().phases.expect("phases on the cold compile");
         }
-        let cache = CompileCache::with_disk(32, &dir).unwrap();
+        let cache = CompileCache::with_segment_store(32, &dir).unwrap();
         let zac = CachedCompiler::new(Counting::new(quick_zac()), cache.clone());
         let warm = zac.compile(&staged).unwrap();
         assert_eq!(zac.into_inner().calls.into_inner(), 0, "served entirely from disk");
-        assert_eq!(warm.phases, Some(phases), "disk envelope round-tripped the phase split");
+        assert_eq!(warm.phases, Some(phases), "disk record round-tripped the phase split");
         // The promoted in-memory copy keeps them as well.
         let remembered = cache.get(CacheKey::compute(&quick_zac(), &staged)).unwrap();
         assert_eq!(remembered.phases, Some(phases));

@@ -1,20 +1,20 @@
 //! The segment-log disk tier: an append-only record log with an in-memory
 //! index.
 //!
-//! The per-file layer ([`crate::disk`]) pays one open + one JSON tree parse
-//! per entry, which is fine for a lazy single-process cache and a bottleneck
-//! for a fleet: N serve workers rehydrating a corpus-scale store spend
-//! almost all of their wall clock in per-file loads. This tier is the
-//! ROADMAP's "compacted segment files / append-only log with in-memory
-//! index" design:
+//! A store of one file per entry pays one open + one parse per lookup,
+//! which is fine for a lazy single-process cache and a bottleneck for a
+//! fleet: N serve workers rehydrating a corpus-scale store would spend
+//! almost all of their wall clock in per-file loads. This store is an
+//! append-only log with an in-memory index instead, and it is the cache's
+//! only persistent tier:
 //!
 //! * **Records** are framed with a fixed 76-byte ASCII header —
 //!   `ZSR1 <len:8x> <crc:8x> <lsn:16x> <kind> <circuit:16x> <compiler:16x> `
 //!   — followed by the payload and a trailing newline. The payload is the
 //!   compact binary [`CompileOutput`] encoding (`zac_core::output_bin`),
 //!   which decodes ~an order of magnitude faster than the JSON envelope;
-//!   that, plus one sequential scan instead of per-entry opens, is where
-//!   the cold-open speedup comes from. Kind `P` is a put, `T` a tombstone.
+//!   that, plus one sequential scan instead of per-entry opens, keeps cold
+//!   opens cheap. Kind `P` is a put, `T` a tombstone.
 //! * **Segments**: each writer appends to its own active segment
 //!   (`seg-<seq>-p<pid>-<n>.active.log`), sealed by rename to `.seg.log`
 //!   once it exceeds [`SegmentConfig::seal_bytes`]. Writers never share an
@@ -24,7 +24,7 @@
 //!   complete — cross-process sharing without torn reads.
 //! * **Index**: key → (segment, offset, len, lsn). Records carry a
 //!   store-monotonic LSN; the highest LSN wins, so duplicate records from
-//!   migration races or compaction are harmless. Lookups that miss the
+//!   racing writers or compaction are harmless. Lookups that miss the
 //!   index refresh it (re-list the directory, scan known segments from
 //!   their last indexed offset) so entries appended by *other* processes
 //!   become visible on demand.
@@ -33,8 +33,8 @@
 //!   the advisory `compact.lock` it adopts dead writers' active segments —
 //!   truncating the torn tail and sealing the rest — and the truncated
 //!   bytes are counted as `recovered_bytes`. The write and read paths run
-//!   through the PR 9 `cache.disk.write` / `cache.disk.read` fault points,
-//!   so all of this is exercised deterministically under `ZAC_FAULTS`.
+//!   through the `cache.disk.write` / `cache.disk.read` fault points, so
+//!   all of this is exercised deterministically under `ZAC_FAULTS`.
 //! * **Compaction** happens on open only (background-free): when the
 //!   sealed segments carry enough garbage (superseded records), the live
 //!   records are rewritten — same LSNs — into one fresh sealed segment and
@@ -43,12 +43,12 @@
 //!   writers' active segments). A crash mid-compaction leaves only a
 //!   `*.compacting` temp file, swept at the next open; the source segments
 //!   are not touched until the replacement is durably in place.
-//! * **Migration**: a key absent from the log but present in the legacy
-//!   per-file v2 layer is served from there and re-appended to the log
-//!   (migrate-on-read), so an old store opens warm under this tier and
-//!   converges to the new format as it is used.
+//!
+//! Files that are not segments (for instance entries of an older per-file
+//! layout) are ignored, so such a directory opens as a cold store: keys are
+//! content hashes, so nothing recompiles wrongly — it just recompiles once.
 
-use crate::disk::{backoff, DiskLayer, LoadOutcome};
+use crate::disk::LoadOutcome;
 use crate::CacheKey;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -91,7 +91,7 @@ impl Default for SegmentConfig {
 /// `zac_telemetry::metrics` under `cache.segment.*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentStats {
-    /// Records appended (puts, tombstones, and migrated legacy entries).
+    /// Records appended (puts and tombstones).
     pub appends: u64,
     /// Active segments sealed (size rotation, adoption, and shutdown).
     pub seals: u64,
@@ -100,8 +100,6 @@ pub struct SegmentStats {
     /// Bytes of torn tails truncated at adoption plus damaged spans
     /// skipped in sealed segments.
     pub recovered_bytes: u64,
-    /// Legacy per-file entries served and re-appended (migrate-on-read).
-    pub migrated: u64,
     /// Live index entries.
     pub index_entries: usize,
     /// Segments (sealed + active) currently known to the index.
@@ -114,7 +112,6 @@ struct SegmentCounters {
     seals: AtomicU64,
     compacted_records: AtomicU64,
     recovered_bytes: AtomicU64,
-    migrated: AtomicU64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,13 +172,27 @@ pub struct SegmentStore {
     dir: PathBuf,
     token: String,
     config: SegmentConfig,
-    legacy: DiskLayer,
     state: Mutex<StoreState>,
     stats: SegmentCounters,
 }
 
-/// Transient-append retry budget, mirroring the per-file layer.
+/// Transient-append retry budget: 1 initial attempt + 2 retries.
 const APPEND_ATTEMPTS: u32 = 3;
+
+/// Retry backoff: ~0.5 ms doubling per attempt, jittered by a hash of
+/// (key, attempt) so concurrent writers racing on one entry spread out —
+/// deterministically, keeping the no-RNG-in-tree invariant.
+fn backoff(key: CacheKey, attempt: u64) -> std::time::Duration {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in [key.circuit, key.compiler, attempt] {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let base_us = 500u64 << (attempt - 1).min(4);
+    std::time::Duration::from_micros(base_us + h % base_us)
+}
 
 fn crc32(bytes: &[u8]) -> u32 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -310,10 +321,10 @@ impl SegmentStore {
         Self::open_with(dir, SegmentConfig::default())
     }
 
-    /// Opens a store: runs the legacy layer's recovery sweep, scans every
-    /// segment into the index, and — when the advisory `compact.lock` is
-    /// free — adopts dead writers' active segments (truncating torn tails)
-    /// and compacts garbage out of the sealed set.
+    /// Opens a store: creates the directory if needed, scans every segment
+    /// into the index, and — when the advisory `compact.lock` is free —
+    /// adopts dead writers' active segments (truncating torn tails) and
+    /// compacts garbage out of the sealed set.
     ///
     /// # Errors
     ///
@@ -321,14 +332,10 @@ impl SegmentStore {
     pub fn open_with(dir: impl Into<PathBuf>, config: SegmentConfig) -> io::Result<Self> {
         static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = dir.into();
-        // The legacy layer's constructor creates the directory and sweeps
-        // `*.tmp.*` debris; segment files never contain ".tmp." so the
-        // sweep cannot eat them.
-        let legacy = DiskLayer::new(&dir)?;
+        fs::create_dir_all(&dir)?;
         let store = Self {
             token: format!("p{}-{}", std::process::id(), STORE_SEQ.fetch_add(1, Ordering::Relaxed)),
             config,
-            legacy,
             state: Mutex::new(StoreState {
                 index: HashMap::new(),
                 dead: HashMap::new(),
@@ -368,12 +375,6 @@ impl SegmentStore {
         &self.dir
     }
 
-    /// The legacy per-file layer sharing this directory (migrate-on-read
-    /// source; its recovery report covers the opening sweep).
-    pub fn legacy(&self) -> &DiskLayer {
-        &self.legacy
-    }
-
     /// A snapshot of this store's counters.
     pub fn stats(&self) -> SegmentStats {
         let st = self.lock_state();
@@ -382,7 +383,6 @@ impl SegmentStore {
             seals: self.stats.seals.load(Ordering::Relaxed),
             compacted_records: self.stats.compacted_records.load(Ordering::Relaxed),
             recovered_bytes: self.stats.recovered_bytes.load(Ordering::Relaxed),
-            migrated: self.stats.migrated.load(Ordering::Relaxed),
             index_entries: st.index.len(),
             segments: st.segments.len(),
         }
@@ -721,28 +721,14 @@ impl SegmentStore {
     }
 
     /// Looks `key` up, refreshing the index from disk on a miss so entries
-    /// appended by other processes are found, and falling back to the
-    /// legacy per-file layer last (migrate-on-read).
+    /// appended by other processes are found.
     pub fn load_classified(&self, key: CacheKey) -> LoadOutcome {
         let mut st = self.lock_state();
         if let Some(outcome) = self.read_indexed_locked(&mut st, key) {
             return outcome;
         }
         let _ = self.refresh_locked(&mut st);
-        if let Some(outcome) = self.read_indexed_locked(&mut st, key) {
-            return outcome;
-        }
-        match self.legacy.load_classified(key) {
-            LoadOutcome::Hit(out) => {
-                // Serve the legacy entry and migrate it into the log so the
-                // next reader (any process) finds it in the index.
-                if self.append_locked(&mut st, key, out.as_ref()).is_ok() {
-                    self.stats.migrated.fetch_add(1, Ordering::Relaxed);
-                }
-                LoadOutcome::Hit(out)
-            }
-            other => other,
-        }
+        self.read_indexed_locked(&mut st, key).unwrap_or(LoadOutcome::Miss)
     }
 
     /// Reads the indexed record for `key`, if any. `None` means "not in
@@ -791,8 +777,8 @@ impl SegmentStore {
         }
     }
 
-    /// Appends `key → output`, retrying transient failures with the same
-    /// budget and backoff as the per-file layer. Returns the retries used.
+    /// Appends `key → output`, retrying transient failures up to twice with
+    /// a small deterministic jittered backoff. Returns the retries used.
     ///
     /// # Errors
     ///
@@ -1177,28 +1163,6 @@ mod tests {
         assert_eq!(out.summary.name, "from-a");
         b.append(key(2), &sample_output("from-b", 2)).unwrap();
         assert!(matches!(a.load_classified(key(2)), LoadOutcome::Hit(_)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn migrates_legacy_entries_on_read() {
-        let dir = temp_cache_dir("seg-migrate");
-        {
-            let legacy = DiskLayer::new(&dir).unwrap();
-            legacy.store(key(7), &sample_output("old", 7)).unwrap();
-        }
-        let store = SegmentStore::open(&dir).unwrap();
-        assert_eq!(store.stats().index_entries, 0, "legacy entries are not pre-indexed");
-        let LoadOutcome::Hit(out) = store.load_classified(key(7)) else {
-            panic!("legacy entry served on miss");
-        };
-        assert_eq!(out.summary.name, "old");
-        let stats = store.stats();
-        assert_eq!((stats.migrated, stats.appends), (1, 1), "served entry re-appended to the log");
-        assert_eq!(stats.index_entries, 1);
-        // Remove the legacy file: the migrated record now carries the hit.
-        fs::remove_file(store.legacy().entry_path(key(7))).unwrap();
-        assert!(matches!(store.load_classified(key(7)), LoadOutcome::Hit(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

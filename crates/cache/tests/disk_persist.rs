@@ -1,15 +1,15 @@
 //! Disk round-trip determinism, designed to run twice against one
-//! persisted cache directory (CI runs it cold then warm; see
+//! persisted segment store (CI runs it cold then warm; see
 //! `.github/workflows/ci.yml`):
 //!
 //! * **cold pass** — the directory is empty, every cell compiles and is
-//!   persisted as JSON;
-//! * **warm pass** — every cell is served from the files the cold pass
+//!   appended to the segment log;
+//! * **warm pass** — every cell is served from the records the cold pass
 //!   wrote (asserted via `from_cache` whenever the entry pre-existed).
 //!
 //! In both passes each served output is compared field-by-field — summary,
 //! report, counts, ZAIR program JSON — against a fresh, uncached compile,
-//! proving the disk JSON round trip reproduces `CompileOutput` exactly.
+//! proving the disk round trip reproduces `CompileOutput` exactly.
 //!
 //! The directory comes from `ZAC_CACHE_DIR` when set (the CI step points it
 //! at a temp dir shared by both passes) and falls back to a per-target
@@ -31,16 +31,16 @@ fn persist_dir() -> PathBuf {
 #[test]
 fn disk_round_trip_reproduces_outputs_cold_and_warm() {
     let dir = persist_dir();
-    let cache = CompileCache::with_disk(64, &dir).expect("cache dir creates");
+    let cache = CompileCache::with_segment_store(64, &dir).expect("cache dir creates");
     let cached = CachedCompiler::new(Zac::new(Architecture::reference()), cache.clone());
 
     for circuit in [bench_circuits::ghz(10), bench_circuits::bv(8, 7)] {
         let staged = preprocess(&circuit);
         let key = CacheKey::compute(&Zac::new(Architecture::reference()), &staged);
-        // "Pre-existing" means a *loadable* entry: a file left by an older
-        // disk-format version is legitimately a miss, not a warm hit. The
-        // probing get() also warms the in-memory layer, which is exactly
-        // what serving the entry means.
+        // "Pre-existing" means a *loadable* entry: a record left by an
+        // older payload-format version is legitimately a miss, not a warm
+        // hit. The probing get() also warms the in-memory layer, which is
+        // exactly what serving the entry means.
         let preexisting = cache.get(key).is_some();
 
         let served = cached.compile(&staged).expect("compiles");
@@ -52,7 +52,7 @@ fn disk_round_trip_reproduces_outputs_cold_and_warm() {
 
         // Reference: a fresh compile that never touches the cache. The
         // compilers are deterministic, so any divergence can only come
-        // from the JSON round trip.
+        // from the disk round trip.
         let fresh =
             Compiler::compile(&Zac::new(Architecture::reference()), &staged).expect("compiles");
         assert_eq!(served.summary, fresh.summary, "{}", staged.name);
@@ -65,7 +65,7 @@ fn disk_round_trip_reproduces_outputs_cold_and_warm() {
             staged.name
         );
 
-        // And the persisted file itself re-serves the same output.
+        // And the persisted record itself re-serves the same output.
         let reread = cache.get(key).expect("entry resident after compile");
         assert_eq!(reread.summary, fresh.summary);
         assert_eq!(reread.report, fresh.report);
@@ -82,58 +82,4 @@ fn disk_round_trip_reproduces_outputs_cold_and_warm() {
         stats.disk_writes
     );
     assert_eq!(stats.disk_errors, 0);
-}
-
-/// Upgrade path: a directory populated by the legacy per-file layer opens
-/// *warm* under the segment tier — every legacy entry serves without
-/// recompilation (migrate-on-read appends it to the log), and once
-/// migrated, the entry survives on the log alone.
-#[test]
-fn legacy_per_file_store_opens_warm_under_segment_tier() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("zac-cache-legacy-upgrade");
-    std::fs::remove_dir_all(&dir).ok();
-    let zac = || Zac::new(Architecture::reference());
-    let circuits = [bench_circuits::ghz(9), bench_circuits::bv(8, 7)];
-
-    // An "old deployment": the per-file JSON layer writes the entries.
-    let mut keys = Vec::new();
-    {
-        let old = CompileCache::with_disk(64, &dir).expect("cache dir creates");
-        let cached = CachedCompiler::new(zac(), old);
-        for circuit in &circuits {
-            let staged = preprocess(circuit);
-            cached.compile(&staged).expect("compiles");
-            keys.push((CacheKey::compute(&zac(), &staged), staged));
-        }
-    }
-
-    // The upgraded service opens the same directory with the segment tier:
-    // every legacy cell is a warm hit, nothing recompiles.
-    {
-        let upgraded = CompileCache::with_segment_store(64, &dir).expect("segment tier opens");
-        for (key, staged) in &keys {
-            let served = upgraded.get(*key).expect("legacy entry serves under the segment tier");
-            let fresh = Compiler::compile(&zac(), staged).expect("compiles");
-            assert_eq!(served.summary, fresh.summary, "{}", staged.name);
-            assert_eq!(served.report, fresh.report, "{}", staged.name);
-            assert!(served.from_cache, "{}: served, not recompiled", staged.name);
-        }
-        let seg = upgraded.segment_stats().expect("segment stats");
-        assert_eq!(seg.migrated as usize, keys.len(), "every legacy entry migrated: {seg:?}");
-    } // clean close seals the migrated records into the log
-
-    // The migrated records now live on the log: remove the legacy files
-    // and the entries still serve.
-    for entry in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
-        if entry.file_name().to_string_lossy().ends_with(".json") {
-            std::fs::remove_file(entry.path()).unwrap();
-        }
-    }
-    let log_only = CompileCache::with_segment_store(64, &dir).expect("segment tier reopens");
-    for (key, staged) in &keys {
-        assert!(log_only.get(*key).is_some(), "{}: survives on the log alone", staged.name);
-    }
-    assert_eq!(log_only.segment_stats().expect("stats").migrated, 0, "nothing left to migrate");
-
-    std::fs::remove_dir_all(&dir).ok();
 }

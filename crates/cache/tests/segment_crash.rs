@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 use zac_cache::disk::LoadOutcome;
-use zac_cache::segment::{SegmentConfig, SegmentStore};
+use zac_cache::segment::{SegmentConfig, SegmentStore, RECORD_HEADER_LEN};
 use zac_cache::{CacheKey, CompileCache};
 use zac_core::CompileOutput;
 use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, NeutralAtomParams};
@@ -223,9 +223,9 @@ fn mid_compaction_crash_leaves_a_recoverable_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Transient IO faults on append retry within the bounded budget, exactly
-/// like the per-file layer: every put resolves as a readable record or a
-/// counted disk error, never torn bytes.
+/// Transient IO faults on append retry within the bounded budget: every
+/// put resolves as a readable record or a counted disk error, never torn
+/// bytes.
 #[test]
 fn injected_append_faults_retry_and_every_put_resolves() {
     let _gate = gate();
@@ -252,6 +252,72 @@ fn injected_append_faults_retry_and_every_put_resolves() {
     assert!(readable > 0, "at a 40% fault rate most puts must get through");
     let fs = fresh.stats();
     assert_eq!((fs.disk_errors, fs.quarantined), (0, 0), "failed appends left no debris: {fs:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bit rot after the opening scan: a record whose payload is overwritten in
+/// place (its checksum was already verified when the store indexed it) must
+/// not be served. The lookup is a clean miss counted as `quarantined`, not
+/// a disk error, and a recompile + `put` makes the key hit again.
+#[test]
+fn post_scan_bit_rot_quarantines_then_recompiles() {
+    let _gate = gate();
+    const N: usize = 6;
+    const ROTTEN: usize = 3;
+    let dir = temp_dir("bit-rot");
+    {
+        let cache = CompileCache::with_segment_store(N, &dir).unwrap();
+        for i in 0..N {
+            cache.put(key(i), &output(i));
+        }
+    } // clean close seals the segment
+
+    // A fresh cache: empty memory, every record indexed by the opening scan.
+    let cache = CompileCache::with_segment_store(N, &dir).unwrap();
+    assert_eq!(cache.segment_stats().unwrap().index_entries, N);
+
+    // Find the rotten key's record by its header's key fields and overwrite
+    // its payload (which starts right after the header) in place.
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .find(|e| e.file_name().to_string_lossy().ends_with(".seg.log"))
+        .expect("the sealed segment")
+        .path();
+    let bytes = std::fs::read(&segment).unwrap();
+    let k = key(ROTTEN);
+    let tag = format!("{:016x} {:016x} ", k.circuit, k.compiler);
+    let header_end = bytes
+        .windows(tag.len())
+        .position(|w| w == tag.as_bytes())
+        .map(|at| at + tag.len())
+        .expect("the rotten key's record header");
+    let header = &bytes[header_end - RECORD_HEADER_LEN..header_end];
+    let len = usize::from_str_radix(std::str::from_utf8(&header[5..13]).unwrap(), 16).unwrap();
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut f = std::fs::OpenOptions::new().write(true).open(&segment).unwrap();
+        f.seek(SeekFrom::Start(header_end as u64)).unwrap();
+        f.write_all(&vec![0xff; len]).unwrap();
+    }
+
+    assert!(cache.get(key(ROTTEN)).is_none(), "a rotten payload is never served");
+    let stats = cache.stats();
+    assert_eq!((stats.quarantined, stats.disk_errors), (1, 0), "{stats:?}");
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    for i in (0..N).filter(|&i| i != ROTTEN) {
+        assert_eq!(cache.get(key(i)).expect("intact records still serve").counts.g1, i);
+    }
+    assert!(cache.get(key(ROTTEN)).is_none(), "the dropped record stays a miss");
+    assert_eq!(cache.stats().quarantined, 1, "quarantined once, not on every lookup");
+
+    // Recompile + put: the key hits again, in memory and through the log.
+    cache.put(key(ROTTEN), &output(ROTTEN));
+    assert_eq!(cache.get(key(ROTTEN)).expect("recompiled key hits").counts.g1, ROTTEN);
+    drop(cache);
+    let reopened = CompileCache::with_segment_store(N, &dir).unwrap();
+    assert_eq!(reopened.get(key(ROTTEN)).expect("the new record serves").counts.g1, ROTTEN);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -415,7 +415,8 @@ fn resolve_operand(
 ) -> Result<Operand, QasmError> {
     let t = text.trim();
     if let Some(open) = t.find('[') {
-        let close = t.find(']').ok_or_else(|| err(line, "missing ']' in operand"))?;
+        let close =
+            t.find(']').filter(|&c| c > open).ok_or_else(|| err(line, "missing ']' in operand"))?;
         let rname = t[..open].trim();
         let &(offset, size) =
             regs.get(rname).ok_or_else(|| err(line, format!("unknown register '{rname}'")))?;
@@ -570,7 +571,9 @@ pub fn parse_qasm(source: &str, name: &str) -> Result<Circuit, QasmError> {
 
 fn parse_reg_decl(rest: &str, line: usize) -> Result<(String, usize), QasmError> {
     let open = rest.find('[').ok_or_else(|| err(line, "malformed qreg"))?;
-    let close = rest.find(']').ok_or_else(|| err(line, "malformed qreg"))?;
+    // The first `]` must close the `[`: `q]x[` would otherwise slice a
+    // reversed range and panic.
+    let close = rest.find(']').filter(|&c| c > open).ok_or_else(|| err(line, "malformed qreg"))?;
     let name = rest[..open].trim().to_string();
     let size: usize =
         rest[open + 1..close].trim().parse().map_err(|_| err(line, "malformed qreg size"))?;
@@ -863,6 +866,17 @@ mod tests {
         assert_eq!(c.num_qubits(), 2);
         assert_eq!(c.num_1q_gates(), 1);
         assert_eq!(c.num_2q_gates(), 1);
+    }
+
+    /// A `]` before the `[` is a malformed declaration, not a panic.
+    #[test]
+    fn reversed_register_brackets_are_malformed() {
+        for src in ["OPENQASM 2.0; qreg q]x[;", "OPENQASM 2.0; qreg q]2[3];"] {
+            let e = parse_qasm(src, "rev").unwrap_err();
+            assert_eq!(e.message, "malformed qreg", "{src}");
+        }
+        let e = parse_qasm("OPENQASM 2.0; qreg q[2]; h q]0[;", "rev").unwrap_err();
+        assert!(e.message.contains("operand") || e.message.contains("register"), "{e}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! whose instructions are owned allocations by definition.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use zac_arch::{Architecture, Loc, SiteId};
 use zac_circuit::Gate2;
 use zac_place::StagePlan;
@@ -21,11 +21,24 @@ use zac_schedule::{ScheduleConfig, ScheduleWorkspace};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per-thread, so allocations made by sibling test threads running in
+    // parallel never show up in this thread's before/after difference.
+    // `const` initialization keeps the access itself allocation-free.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with`: the slot is gone while a thread tears down its locals.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counting touches only a const-initialized
+// thread-local, which neither allocates nor re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -34,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A synthetic transition: `k` gate fetches into sites (two moves each) and

@@ -193,3 +193,59 @@ fn stdin_eof_drains_in_flight_work_and_exits_zero() {
     let done = done.expect("the request terminates with Done after EOF");
     assert_eq!((done.ok, done.rejected, done.failed), (total, 0, 0));
 }
+
+/// `qreg q]x[;` once panicked the QASM parser and killed the binary with
+/// exit 101. It must come back as a typed `error` naming the request, and
+/// the next request on the same connection must still compile.
+#[test]
+fn reversed_qreg_brackets_get_an_error_and_the_binary_keeps_serving() {
+    let corpus = bundled_corpus();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zac-serve"))
+        .env("ZAC_SERVE_WORKERS", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn zac-serve");
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        let hostile = Request::new(
+            "hostile",
+            "Zoned-ZAC",
+            vec![CircuitEntry { name: "rev".into(), qasm: "OPENQASM 2.0;\nqreg q]x[;".into() }],
+        );
+        writeln!(stdin, "{}", serde_json::to_string(&hostile).unwrap()).unwrap();
+        let normal = Request::new(
+            "normal",
+            "Zoned-ZAC",
+            vec![CircuitEntry { name: corpus[0].0.clone(), qasm: corpus[0].1.clone() }],
+        );
+        writeln!(stdin, "{}", serde_json::to_string(&normal).unwrap()).unwrap();
+    }
+
+    let mut saw_error = false;
+    let mut done = None;
+    for line in BufReader::new(child.stdout.take().unwrap()).lines() {
+        let line = line.expect("read response line");
+        match serde_json::from_str::<Response>(&line)
+            .unwrap_or_else(|e| panic!("bad line `{line}`: {e}"))
+        {
+            Response::Error { id, reason } => {
+                assert_eq!(id.as_deref(), Some("hostile"));
+                assert!(reason.contains("malformed qreg"), "{reason}");
+                saw_error = true;
+            }
+            Response::Result { id, outcome, .. } => {
+                assert_eq!(id, "normal");
+                assert!(outcome.output().is_some(), "the next request compiles");
+            }
+            Response::Done(d) => done = Some(d),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    let status = child.wait().expect("binary exits");
+    assert!(status.success(), "no panic exit, got {status:?}");
+    assert!(saw_error, "the hostile request got its typed error");
+    let done = done.expect("the normal request terminates with Done");
+    assert_eq!((done.id.as_str(), done.ok, done.rejected, done.failed), ("normal", 1, 0, 0));
+}

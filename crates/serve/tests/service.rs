@@ -271,6 +271,23 @@ fn bad_requests_come_back_as_error_responses() {
     assert!(matches!(&responses[0], Response::Error { id: None, .. }), "{responses:?}");
 }
 
+/// A request line nested 50,000 arrays deep is refused by the JSON parser's
+/// depth cap with a typed error instead of overflowing the stack.
+#[test]
+fn deeply_nested_request_line_is_an_error_not_a_crash() {
+    let service = test_service(1);
+    let responses: Vec<_> = service.submit_line(&"[".repeat(50_000)).iter().collect();
+    match &responses[..] {
+        [Response::Error { id: None, reason }] => {
+            assert!(reason.contains("nesting deeper than"), "{reason}");
+        }
+        other => panic!("expected one Error, got {other:?}"),
+    }
+    // The service is unharmed: a normal request still compiles.
+    let responses = drain(&service, Request::new("after", "Zoned-ZAC", vec![entry(3)]));
+    assert!(matches!(responses.last(), Some(Response::Done(d)) if d.ok == 1), "{responses:?}");
+}
+
 #[test]
 fn telemetry_attaches_metrics_delta_and_trace_to_done() {
     zac_telemetry::set_enabled(true);
