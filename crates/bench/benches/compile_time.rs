@@ -188,7 +188,8 @@ fn build_compilers(smoke: bool, axis: EngineAxis) -> Vec<Box<dyn Compiler>> {
         default_compilers().into_iter().filter(|c| c.name() != ZAC_EXHAUSTIVE).collect();
     if axis.runs(ZAC_EXHAUSTIVE) {
         // `Zac`'s own name is already the paper label; the engine is pinned
-        // explicitly so `ZAC_PLACER` in the environment cannot skew the arm.
+        // explicitly so the arm is the exhaustive search whatever the base
+        // config says.
         compilers.push(Box::new(exhaustive));
     }
     if axis.runs(ZAC_WINDOWED) {

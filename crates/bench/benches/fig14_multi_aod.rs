@@ -3,17 +3,12 @@
 //! Paper claims: two AODs give ~10% fidelity improvement; the third and
 //! fourth add only ~2% because rearrangement parallelism saturates.
 //!
-//! The four AOD arms share one [`InitialPlacementCache`]: the SA initial
-//! placement depends only on the zone geometry and the circuit — never on
-//! the AOD count — so it is computed once per circuit instead of once per
-//! arm, and the arch × circuit matrix fans out through [`BatchRunner`]
-//! (outputs are bit-identical to per-arm serial recompute; see
-//! `shared_placement_cache_is_bit_identical_across_aod_arms` in zac-core).
+//! Each AOD arm compiles the suite independently; the arch × circuit matrix
+//! fans out through [`BatchRunner`].
 
 use zac_arch::Architecture;
 use zac_bench::{default_suite, geomean, print_header, BatchRunner};
 use zac_core::{Compiler, Labeled, Zac, ZacConfig};
-use zac_place::InitialPlacementCache;
 
 fn main() {
     print_header(
@@ -22,12 +17,11 @@ fn main() {
     );
 
     let suite = default_suite();
-    let cache = InitialPlacementCache::new();
     let labels = ["1AOD", "2AOD", "3AOD", "4AOD"];
     let arms: Vec<Box<dyn Compiler>> = (1..=4usize)
         .map(|k| {
             let arch = Architecture::reference().with_num_aods(k);
-            let zac = Zac::with_config(arch, ZacConfig::full()).with_placement_cache(cache.clone());
+            let zac = Zac::with_config(arch, ZacConfig::full());
             Box::new(Labeled::new(labels[k - 1], zac)) as Box<dyn Compiler>
         })
         .collect();
@@ -61,12 +55,7 @@ fn main() {
         print!("{g:>18.4e}");
     }
     println!();
-    println!(
-        "\nSA initial placements computed: {} (one per circuit, shared by all {} arms)",
-        cache.len(),
-        labels.len()
-    );
-    println!("gains over 1 AOD (paper in parentheses):");
+    println!("\ngains over 1 AOD (paper in parentheses):");
     println!("  2 AODs: {:+.1}% (+10%)", (gms[1] / gms[0] - 1.0) * 100.0);
     println!("  3 AODs: {:+.1}%", (gms[2] / gms[0] - 1.0) * 100.0);
     println!("  4 AODs: {:+.1}% (2 AOD +2%)", (gms[3] / gms[0] - 1.0) * 100.0);

@@ -284,11 +284,6 @@ impl CompileCache {
         metrics::CACHE_INSERTIONS.incr();
     }
 
-    /// Whether a disk layer is configured.
-    pub fn has_disk(&self) -> bool {
-        self.inner.disk.is_some()
-    }
-
     /// A consistent-enough snapshot of the counters (individual counters
     /// are exact; cross-counter sums may be mid-update under concurrency).
     pub fn stats(&self) -> CacheStats {

@@ -502,7 +502,9 @@ impl SegmentStore {
     /// indexing it. Scanning stops at the first invalid boundary: in an
     /// active segment that tail may still be completed by its writer (the
     /// offset is not advanced); in a sealed segment it is damage, skipped
-    /// permanently and counted as recovered bytes.
+    /// permanently and counted as recovered bytes. A sealed record whose
+    /// frame is intact but whose checksum fails is skipped alone, and the
+    /// scan goes on.
     fn scan_segment_locked(&self, st: &mut StoreState, stem: &str) {
         let StoreState { index, dead, segments, next_lsn, .. } = st;
         let Some(meta) = segments.get_mut(stem) else { return };
@@ -536,12 +538,22 @@ impl SegmentStore {
             });
             let Some((header, total)) = valid else {
                 if meta.sealed {
-                    // Damage inside a sealed file: nothing after it is
-                    // reachable; skip it for good.
-                    let lost = (buf.len() - pos) as u64;
-                    meta.scanned = base + buf.len() as u64;
-                    self.stats.recovered_bytes.fetch_add(lost, Ordering::Relaxed);
-                    metrics::CACHE_SEGMENT_RECOVERED_BYTES.add(lost);
+                    // Damage inside a sealed file, skipped for good. A frame
+                    // whose header parses and whose trailing newline is in
+                    // place only failed its checksum, so just that record
+                    // is lost; otherwise no later boundary can be trusted
+                    // and the rest of the file goes.
+                    let frame = parse_header(rest)
+                        .map(|h| RECORD_HEADER_LEN + h.len + 1)
+                        .filter(|&total| rest.len() >= total && rest[total - 1] == b'\n');
+                    let lost = frame.unwrap_or(rest.len());
+                    pos += lost;
+                    meta.scanned = base + pos as u64;
+                    self.stats.recovered_bytes.fetch_add(lost as u64, Ordering::Relaxed);
+                    metrics::CACHE_SEGMENT_RECOVERED_BYTES.add(lost as u64);
+                    if frame.is_some() {
+                        continue;
+                    }
                 }
                 return;
             };

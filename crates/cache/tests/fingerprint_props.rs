@@ -75,8 +75,8 @@ proptest! {
     /// Sensitivity on the compiler half: every placement-config field,
     /// the placement-engine choice (and each windowed-engine parameter),
     /// and every hardware parameter feeds the compiler fingerprint. The
-    /// engine is pinned on both sides so the test is meaningful under
-    /// `ZAC_PLACER=windowed` runs too.
+    /// engine is pinned on both sides, so the engine arm compares two
+    /// explicitly chosen engines.
     #[test]
     fn compiler_fingerprint_changes_with_any_config_field(
         field in 0usize..13,

@@ -321,3 +321,48 @@ fn post_scan_bit_rot_quarantines_then_recompiles() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Bit rot found by the *opening* scan of a sealed segment: a record whose
+/// frame is intact but whose checksum fails is skipped alone. Every record
+/// after it still indexes and serves; only the damaged key misses.
+#[test]
+fn sealed_scan_skips_one_bad_record_and_keeps_the_rest() {
+    let _gate = gate();
+    const N: usize = 6;
+    const ROTTEN: usize = 1;
+    let dir = temp_dir("bad-record");
+    {
+        let cache = CompileCache::with_segment_store(N, &dir).unwrap();
+        for i in 0..N {
+            cache.put(key(i), &output(i));
+        }
+    } // clean close seals the segment
+
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .find(|e| e.file_name().to_string_lossy().ends_with(".seg.log"))
+        .expect("the sealed segment")
+        .path();
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let k = key(ROTTEN);
+    let tag = format!("{:016x} {:016x} ", k.circuit, k.compiler);
+    let header_end = bytes
+        .windows(tag.len())
+        .position(|w| w == tag.as_bytes())
+        .map(|at| at + tag.len())
+        .expect("the rotten key's record header");
+    let header = &bytes[header_end - RECORD_HEADER_LEN..header_end];
+    let len = usize::from_str_radix(std::str::from_utf8(&header[5..13]).unwrap(), 16).unwrap();
+    bytes[header_end] ^= 0x01; // one flipped payload bit
+    std::fs::write(&segment, &bytes).unwrap();
+
+    let store = SegmentStore::open(&dir).unwrap();
+    let stats = store.stats();
+    assert_eq!(stats.recovered_bytes, (RECORD_HEADER_LEN + len + 1) as u64, "{stats:?}");
+    assert_eq!(stats.index_entries, N - 1, "{stats:?}");
+    let hits = assert_never_read_errors(&store, N);
+    assert_eq!(hits, [0, 2, 3, 4, 5], "only the damaged record misses");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -30,6 +30,11 @@ use std::fmt;
 /// recursing forever.
 const MAX_EXPANSION_DEPTH: usize = 16;
 
+/// Parameter expressions nest (parentheses, unary signs, function
+/// arguments) at most this deep; deeper input errors instead of exhausting
+/// the stack of the parsing thread.
+const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parse error with 1-based line information.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QasmError {
@@ -61,6 +66,7 @@ fn eval_expr(src: &str, line: usize, vars: &HashMap<String, f64>) -> Result<f64,
         i: usize,
         line: usize,
         vars: &'a HashMap<String, f64>,
+        depth: usize,
     }
     impl P<'_> {
         fn peek(&self) -> Option<u8> {
@@ -120,7 +126,21 @@ fn eval_expr(src: &str, line: usize, vars: &HashMap<String, f64>) -> Result<f64,
                 Err(err(self.line, "missing ')' in expression"))
             }
         }
+        /// Every recursive path of the grammar re-enters here, so this one
+        /// counter bounds the recursion.
         fn factor(&mut self) -> Result<f64, QasmError> {
+            if self.depth == MAX_EXPR_DEPTH {
+                return Err(err(
+                    self.line,
+                    format!("expression nested deeper than {MAX_EXPR_DEPTH} levels"),
+                ));
+            }
+            self.depth += 1;
+            let v = self.atom();
+            self.depth -= 1;
+            v
+        }
+        fn atom(&mut self) -> Result<f64, QasmError> {
             self.skip_ws();
             match self.peek() {
                 Some(b'-') => {
@@ -182,7 +202,7 @@ fn eval_expr(src: &str, line: usize, vars: &HashMap<String, f64>) -> Result<f64,
             }
         }
     }
-    let mut p = P { s: src.as_bytes(), i: 0, line, vars };
+    let mut p = P { s: src.as_bytes(), i: 0, line, vars, depth: 0 };
     let v = p.expr()?;
     p.skip_ws();
     if p.i != p.s.len() {
@@ -927,6 +947,34 @@ mod tests {
         assert!((eval_expr("-theta/2 + pi", 1, &vars).unwrap() - (PI - 0.25)).abs() < 1e-12);
         assert!(eval_expr("theta", 1, &no_vars()).is_err());
         assert!(eval_expr("sin 1", 1, &no_vars()).is_err());
+    }
+
+    /// Deeply nested parameter expressions error at `MAX_EXPR_DEPTH`
+    /// instead of overflowing the stack. Parsed on a 512 KiB thread, so the
+    /// cap (not a roomy main stack) is what keeps the process alive.
+    #[test]
+    fn expression_nesting_is_capped() {
+        let parse = |param: String| {
+            std::thread::Builder::new()
+                .stack_size(512 * 1024)
+                .spawn(move || {
+                    let src = format!("OPENQASM 2.0; qreg q[1]; rz({param}) q[0];");
+                    parse_qasm(&src, "deep").map(|c| c.num_1q_gates())
+                })
+                .unwrap()
+                .join()
+                .expect("parsing must not overflow the stack")
+        };
+        const N: usize = 100_000;
+        for deep in [format!("{}1{}", "(".repeat(N), ")".repeat(N)), format!("{}1", "-".repeat(N))]
+        {
+            let e = parse(deep).unwrap_err();
+            assert!(e.message.contains("nested deeper than 128"), "{e}");
+        }
+        // Nesting within the cap still evaluates.
+        let ok = format!("{}pi{}", "(".repeat(100), ")".repeat(100));
+        assert_eq!(parse(ok).unwrap(), 1);
+        assert_eq!(parse(format!("{}1", "-".repeat(100))).unwrap(), 1);
     }
 
     /// Regression (issue): the old head splitter used `find(')')` and broke

@@ -6,9 +6,7 @@ use std::time::{Duration, Instant};
 use zac_arch::Architecture;
 use zac_circuit::{preprocess, Circuit, StagedCircuit};
 use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, FidelityReport, NeutralAtomParams};
-use zac_place::{
-    plan_placement_cached, InitialPlacementCache, PlaceError, PlacementConfig, PlacementPlan,
-};
+use zac_place::{plan_placement, PlaceError, PlacementConfig, PlacementPlan};
 use zac_schedule::{schedule_with_workspace, ScheduleConfig, ScheduleError, ScheduleWorkspace};
 use zac_zair::{Program, ZairError};
 
@@ -177,7 +175,6 @@ impl ZacOutput {
 pub struct Zac {
     arch: Architecture,
     config: ZacConfig,
-    placement_cache: Option<InitialPlacementCache>,
     /// Reused scheduler scratch: dense trap tables, conflict-graph and job
     /// buffers shared across `compile()` calls. Never affects results
     /// (bit-identity is locked in `zac-schedule`); a contended or poisoned
@@ -190,7 +187,6 @@ impl Clone for Zac {
         Self {
             arch: self.arch.clone(),
             config: self.config.clone(),
-            placement_cache: self.placement_cache.clone(),
             schedule_ws: Mutex::new(ScheduleWorkspace::new()),
         }
     }
@@ -204,24 +200,7 @@ impl Zac {
 
     /// Creates a compiler with an explicit configuration.
     pub fn with_config(arch: Architecture, config: ZacConfig) -> Self {
-        Self {
-            arch,
-            config,
-            placement_cache: None,
-            schedule_ws: Mutex::new(ScheduleWorkspace::new()),
-        }
-    }
-
-    /// Shares a [`InitialPlacementCache`] with other compiler instances, so
-    /// sweeps whose arms differ only in AOD count (fig14) run the SA initial
-    /// placement once per circuit instead of once per arm. Outputs are
-    /// bit-identical with or without the cache (the cached value is exactly
-    /// what the SA would recompute), so the compiler fingerprint is
-    /// unaffected.
-    #[must_use]
-    pub fn with_placement_cache(mut self, cache: InitialPlacementCache) -> Self {
-        self.placement_cache = Some(cache);
-        self
+        Self { arch, config, schedule_ws: Mutex::new(ScheduleWorkspace::new()) }
     }
 
     /// The target architecture.
@@ -267,12 +246,7 @@ impl Zac {
         };
         let plan = {
             let _span = zac_telemetry::span!("core.place", &staged.name);
-            plan_placement_cached(
-                &self.arch,
-                staged,
-                &self.config.placement,
-                self.placement_cache.as_ref(),
-            )?
+            plan_placement(&self.arch, staged, &self.config.placement)?
         };
         let place_time = start.elapsed();
         let schedule_start = Instant::now();
@@ -397,27 +371,6 @@ mod tests {
         let analysis = back.analyze(zac.arch()).unwrap();
         assert_eq!(analysis.g2, out.summary.g2);
         assert_eq!(analysis.n_tran, out.summary.n_tran);
-    }
-
-    /// The fig14 sharing contract: arms differing only in AOD count reuse
-    /// one SA initial placement, and every output is bit-identical to the
-    /// uncached compile.
-    #[test]
-    fn shared_placement_cache_is_bit_identical_across_aod_arms() {
-        let staged = preprocess(&bench_circuits::ghz(12));
-        let cache = InitialPlacementCache::new();
-        for k in 1..=3 {
-            let arch = Architecture::reference().with_num_aods(k);
-            let plain = Zac::with_config(arch.clone(), quick()).compile_staged(&staged).unwrap();
-            let cached = Zac::with_config(arch, quick())
-                .with_placement_cache(cache.clone())
-                .compile_staged(&staged)
-                .unwrap();
-            assert_eq!(plain.plan, cached.plan, "{k} AODs");
-            assert_eq!(plain.report, cached.report, "{k} AODs");
-            assert_eq!(plain.summary, cached.summary, "{k} AODs");
-        }
-        assert_eq!(cache.len(), 1, "one SA entry serves every AOD arm");
     }
 
     /// The windowed engine produces a valid end-to-end compilation and a

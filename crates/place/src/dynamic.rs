@@ -16,8 +16,7 @@
 //!    (paper Sec. V-B: "we commit to the better solution between the two").
 
 use crate::cost::{gate_cost, nearest_gate_site, qubit_to_site_cost};
-use crate::engine::WindowPolicy;
-use crate::initial::InitialPlacementCache;
+use crate::engine::WindowedPlacer;
 use crate::{PlaceError, PlacementConfig};
 use std::collections::HashSet;
 use zac_arch::{
@@ -335,7 +334,7 @@ impl TrapScratch {
 }
 
 /// Plans placement for the whole circuit with the engine selected in
-/// `cfg.engine` (see [`crate::Placer`]).
+/// `cfg.engine` (see [`crate::PlacementEngine`]).
 ///
 /// # Errors
 ///
@@ -346,44 +345,21 @@ pub fn plan_placement(
     staged: &StagedCircuit,
     cfg: &PlacementConfig,
 ) -> Result<PlacementPlan, PlaceError> {
-    plan_placement_cached(arch, staged, cfg, None)
-}
-
-/// [`plan_placement`] with an optional [`InitialPlacementCache`]: the SA
-/// initial placement — which depends only on the zone geometry and the
-/// circuit, never on AOD count — is computed once per (geometry, circuit,
-/// SA-config, engine) key and shared across callers (e.g. the fig14
-/// multi-AOD sweep arms). Results are bit-identical with and without the
-/// cache.
-///
-/// # Errors
-///
-/// Same as [`plan_placement`].
-pub fn plan_placement_cached(
-    arch: &Architecture,
-    staged: &StagedCircuit,
-    cfg: &PlacementConfig,
-    cache: Option<&InitialPlacementCache>,
-) -> Result<PlacementPlan, PlaceError> {
-    cfg.engine.placer().plan_cached(arch, staged, cfg, cache)
+    cfg.engine.plan(arch, staged, cfg)
 }
 
 /// Shared planning loop behind both engines: `window` is `None` for the
 /// exhaustive search (whose output is bit-identity locked) and carries the
-/// [`WindowPolicy`] for the windowed search.
+/// [`WindowedPlacer`] parameters for the windowed search.
 pub(crate) fn plan_with_window(
     arch: &Architecture,
     staged: &StagedCircuit,
     cfg: &PlacementConfig,
-    cache: Option<&InitialPlacementCache>,
-    window: Option<WindowPolicy>,
+    window: Option<&WindowedPlacer>,
 ) -> Result<PlacementPlan, PlaceError> {
     let _span = zac_telemetry::span!("place.plan", &staged.name);
     let initial = if cfg.use_sa {
-        match cache {
-            Some(cache) => cache.get_or_compute(arch, staged, cfg)?,
-            None => crate::initial::sa_for_engine(arch, staged, cfg)?,
-        }
+        crate::initial::sa_for_engine(arch, staged, cfg)?
     } else {
         crate::initial::trivial_initial_placement(arch, staged.num_qubits)?
     };
@@ -503,7 +479,7 @@ fn solve_stage(
     gates: &[Gate2],
     next_gates: Option<&[Gate2]>,
     cfg: &PlacementConfig,
-    window: Option<WindowPolicy>,
+    window: Option<&WindowedPlacer>,
     use_reuse: bool,
 ) -> Result<StageSolution, PlaceError> {
     // Split borrows: the memo tables are read-only while the solver scratch
@@ -649,7 +625,7 @@ fn solve_stage(
             .unwrap_or(1);
         let mut delta = match window {
             None => cfg.window_expansion.max(1),
-            Some(w) => w.min_width.max(1),
+            Some(w) => w.window_min_width.max(1),
         };
         if per_gate.len() < unpinned.len() {
             per_gate.resize_with(unpinned.len(), Vec::new);
@@ -843,7 +819,7 @@ const WINDOW_MIN_MOVERS: usize = 4;
 
 /// Eq. 3: assign returning qubits to candidate storage traps by min-weight
 /// full matching (solved in the shared workspace, allocation-free in steady
-/// state). Under a [`WindowPolicy`] (and at least [`WINDOW_MIN_MOVERS`]
+/// state). Under a [`WindowedPlacer`] (and at least [`WINDOW_MIN_MOVERS`]
 /// returners) the candidate pool is the union of rectangular windows around
 /// each qubit's anchor traps, regrown (×2) and re-solved only when the
 /// matching is infeasible or breaches the quality guard.
@@ -860,7 +836,7 @@ fn place_returns(
     returning: &[usize],
     related: &RelatedMap,
     cfg: &PlacementConfig,
-    window: Option<WindowPolicy>,
+    window: Option<&WindowedPlacer>,
 ) -> Result<(), PlaceError> {
     let n = during.len();
     scratch.next_generation();
@@ -924,7 +900,7 @@ fn place_returns(
         .max()
         .unwrap_or(1);
     let window = window.filter(|_| returning.len() >= WINDOW_MIN_MOVERS);
-    let mut width = window.map(|w| w.min_width.max(1));
+    let mut width = window.map(|w| w.window_min_width.max(1));
 
     if scratch.rows.len() < returning.len() {
         scratch.rows.resize_with(returning.len(), Vec::new);

@@ -1,100 +1,32 @@
-//! Pluggable placement engines.
+//! Placement engines.
 //!
-//! The [`Placer`] trait is the seam between the placement pipeline's entry
-//! points and the per-stage search strategy. Two engines implement it:
+//! [`PlacementEngine`], stored in [`PlacementConfig::engine`], selects the
+//! per-stage search strategy:
 //!
-//! * [`ExhaustivePlacer`] — the paper's search, unchanged: gate candidates
-//!   come from the δ-expanded neighborhood Ω_near grown only on
+//! * [`PlacementEngine::Exhaustive`] — the paper's search, unchanged: gate
+//!   candidates come from the δ-expanded neighborhood Ω_near grown only on
 //!   infeasibility, and Eq. 3 return candidates are the full bounding box
-//!   over the anchor traps. Its output is bit-identical to the pre-trait
-//!   pipeline (locked by the scheduler golden digests).
-//! * [`WindowedPlacer`] — a windowed search in the spirit of the TUM
-//!   routing-aware placement line of work: on large matchings both candidate
-//!   pools are capped to geometry windows around the moving qubits, sized by
-//!   [`WindowedPlacer::window_min_width`] / [`WindowedPlacer::window_ratio`].
-//!   The window grows (and the matching re-solves) only when the assignment
-//!   is infeasible or its cost exceeds the
-//!   [`WindowedPlacer::quality_factor`] guard; the SA initial placement
+//!   over the anchor traps. Its output is locked by the scheduler golden
+//!   digests.
+//! * [`PlacementEngine::Windowed`] — a windowed search in the spirit of the
+//!   TUM routing-aware placement line of work: on large matchings both
+//!   candidate pools are capped to geometry windows around the moving
+//!   qubits, sized by [`WindowedPlacer::window_min_width`] /
+//!   [`WindowedPlacer::window_ratio`]. The window grows (and the matching
+//!   re-solves) only when the assignment is infeasible or its cost exceeds
+//!   the [`WindowedPlacer::quality_factor`] guard; the SA initial placement
 //!   early-stops after [`WindowedPlacer::sa_patience`] non-improving
 //!   iterations. Together these trade bounded quality loss for a large
 //!   compile-time win on big circuits.
 //!
-//! Engine choice is part of a compiler's identity: [`Placer::config_tokens`]
-//! folds it into `Compiler::fingerprint()` (and the
-//! [`crate::InitialPlacementCache`] key), so cached artifacts produced by
-//! different engines can never be confused.
+//! Engine choice is part of a compiler's identity:
+//! [`PlacementEngine::config_tokens`] folds it into `Compiler::fingerprint()`,
+//! so cached artifacts produced by different engines can never be confused.
 
 use crate::dynamic::{plan_with_window, PlacementPlan};
-use crate::initial::InitialPlacementCache;
 use crate::{PlaceError, PlacementConfig};
 use zac_arch::Architecture;
 use zac_circuit::{Fingerprint, StagedCircuit};
-
-/// A placement engine: plans qubit locations for every Rydberg stage.
-///
-/// Implementations must be deterministic functions of `(arch, staged, cfg)`
-/// and must describe every behavior-affecting knob in
-/// [`config_tokens`](Placer::config_tokens), so compilation caches keyed by
-/// fingerprint stay sound.
-pub trait Placer: Send + Sync {
-    /// Engine name (used in labels and diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Plans placement for the whole circuit.
-    ///
-    /// # Errors
-    ///
-    /// [`PlaceError`] if the circuit does not fit the architecture.
-    fn plan(
-        &self,
-        arch: &Architecture,
-        staged: &StagedCircuit,
-        cfg: &PlacementConfig,
-    ) -> Result<PlacementPlan, PlaceError> {
-        self.plan_cached(arch, staged, cfg, None)
-    }
-
-    /// [`plan`](Placer::plan) with an optional shared
-    /// [`InitialPlacementCache`] for the SA initial placement.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`plan`](Placer::plan).
-    fn plan_cached(
-        &self,
-        arch: &Architecture,
-        staged: &StagedCircuit,
-        cfg: &PlacementConfig,
-        cache: Option<&InitialPlacementCache>,
-    ) -> Result<PlacementPlan, PlaceError>;
-
-    /// Folds every behavior-affecting engine parameter into `fp`.
-    fn config_tokens(&self, fp: &mut Fingerprint);
-}
-
-/// The paper's exhaustive candidate search (the default engine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExhaustivePlacer;
-
-impl Placer for ExhaustivePlacer {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
-    fn plan_cached(
-        &self,
-        arch: &Architecture,
-        staged: &StagedCircuit,
-        cfg: &PlacementConfig,
-        cache: Option<&InitialPlacementCache>,
-    ) -> Result<PlacementPlan, PlaceError> {
-        plan_with_window(arch, staged, cfg, cache, None)
-    }
-
-    fn config_tokens(&self, fp: &mut Fingerprint) {
-        fp.write_str("placer/exhaustive");
-    }
-}
 
 /// Windowed candidate search: caps both the gate-placement site pool and the
 /// Eq. 3 return-trap pool to geometry windows around the qubits being moved,
@@ -124,21 +56,13 @@ impl Default for WindowedPlacer {
     }
 }
 
-/// Resolved window parameters threaded through the per-stage solver.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WindowPolicy {
-    pub min_width: usize,
-    pub ratio: f64,
-    pub quality: f64,
-}
-
-impl WindowPolicy {
+impl WindowedPlacer {
     /// Return-window half-extent as (rows, cols) for a given half-height:
-    /// columns are widened by the aspect ratio (`ratio` ≤ 1 widens).
+    /// columns are widened by the aspect ratio (`window_ratio` ≤ 1 widens).
     pub(crate) fn half_extent(&self, half_rows: usize) -> (usize, usize) {
         let rows = half_rows.max(1);
-        let cols = if self.ratio > 0.0 {
-            ((rows as f64 / self.ratio).ceil() as usize).max(rows)
+        let cols = if self.window_ratio > 0.0 {
+            ((rows as f64 / self.window_ratio).ceil() as usize).max(rows)
         } else {
             rows
         };
@@ -147,41 +71,7 @@ impl WindowPolicy {
 
     /// Whether `cost` violates the quality guard against `lower_bound`.
     pub(crate) fn violates_guard(&self, cost: f64, lower_bound: f64) -> bool {
-        cost > self.quality * lower_bound + 1e-9
-    }
-}
-
-impl WindowedPlacer {
-    pub(crate) fn policy(&self) -> WindowPolicy {
-        WindowPolicy {
-            min_width: self.window_min_width,
-            ratio: self.window_ratio,
-            quality: self.quality_factor,
-        }
-    }
-}
-
-impl Placer for WindowedPlacer {
-    fn name(&self) -> &'static str {
-        "windowed"
-    }
-
-    fn plan_cached(
-        &self,
-        arch: &Architecture,
-        staged: &StagedCircuit,
-        cfg: &PlacementConfig,
-        cache: Option<&InitialPlacementCache>,
-    ) -> Result<PlacementPlan, PlaceError> {
-        plan_with_window(arch, staged, cfg, cache, Some(self.policy()))
-    }
-
-    fn config_tokens(&self, fp: &mut Fingerprint) {
-        fp.write_str("placer/windowed");
-        fp.write_usize(self.window_min_width);
-        fp.write_f64(self.window_ratio);
-        fp.write_f64(self.quality_factor);
-        fp.write_usize(self.sa_patience);
+        cost > self.quality_factor * lower_bound + 1e-9
     }
 }
 
@@ -201,34 +91,44 @@ impl PlacementEngine {
         Self::Windowed(WindowedPlacer::default())
     }
 
-    /// Engine selection from the `ZAC_PLACER` environment variable
-    /// (`windowed` selects [`WindowedPlacer`]; anything else — including
-    /// unset — selects [`ExhaustivePlacer`]). Read once per process, so a
-    /// run never mixes engines mid-flight; tests that lock golden outputs
-    /// pin `PlacementEngine::Exhaustive` explicitly instead of relying on
-    /// the environment.
-    pub fn from_env() -> Self {
-        static ENGINE: std::sync::OnceLock<PlacementEngine> = std::sync::OnceLock::new();
-        ENGINE
-            .get_or_init(|| match std::env::var("ZAC_PLACER").as_deref() {
-                Ok("windowed") => Self::windowed(),
-                _ => Self::Exhaustive,
-            })
-            .clone()
-    }
-
-    /// The engine's [`Placer`] implementation.
-    pub fn placer(&self) -> &dyn Placer {
+    /// Engine name (used in labels and diagnostics).
+    pub fn name(&self) -> &'static str {
         match self {
-            Self::Exhaustive => &ExhaustivePlacer,
-            Self::Windowed(w) => w,
+            Self::Exhaustive => "exhaustive",
+            Self::Windowed(_) => "windowed",
         }
     }
 
-    /// Folds the engine choice and its parameters into `fp` (delegates to
-    /// [`Placer::config_tokens`]).
+    /// Plans placement for the whole circuit with this engine.
+    ///
+    /// # Errors
+    ///
+    /// [`PlaceError`] if the circuit does not fit the architecture.
+    pub fn plan(
+        &self,
+        arch: &Architecture,
+        staged: &StagedCircuit,
+        cfg: &PlacementConfig,
+    ) -> Result<PlacementPlan, PlaceError> {
+        match self {
+            Self::Exhaustive => plan_with_window(arch, staged, cfg, None),
+            Self::Windowed(w) => plan_with_window(arch, staged, cfg, Some(w)),
+        }
+    }
+
+    /// Folds the engine choice and every behavior-affecting parameter into
+    /// `fp`, so compilation caches keyed by fingerprint stay sound.
     pub fn config_tokens(&self, fp: &mut Fingerprint) {
-        self.placer().config_tokens(fp);
+        match self {
+            Self::Exhaustive => fp.write_str("placer/exhaustive"),
+            Self::Windowed(w) => {
+                fp.write_str("placer/windowed");
+                fp.write_usize(w.window_min_width);
+                fp.write_f64(w.window_ratio);
+                fp.write_f64(w.quality_factor);
+                fp.write_usize(w.sa_patience);
+            }
+        }
     }
 }
 
@@ -257,23 +157,21 @@ mod tests {
 
     #[test]
     fn window_extent_follows_the_aspect_ratio() {
-        let p = WindowedPlacer::default().policy();
+        let w = |window_ratio| WindowedPlacer { window_ratio, ..WindowedPlacer::default() };
         // Default ratio 0.5 doubles the column half-width.
+        let p = WindowedPlacer::default();
         assert_eq!(p.half_extent(2), (2, 4));
         assert_eq!(p.half_extent(8), (8, 16));
         // Ratio 1.0 keeps the window square; the ratio never shrinks it.
-        let square = WindowPolicy { min_width: 2, ratio: 1.0, quality: 1.5 };
-        assert_eq!(square.half_extent(3), (3, 3));
-        let tall = WindowPolicy { min_width: 2, ratio: 4.0, quality: 1.5 };
-        assert_eq!(tall.half_extent(3), (3, 3));
+        assert_eq!(w(1.0).half_extent(3), (3, 3));
+        assert_eq!(w(4.0).half_extent(3), (3, 3));
         // Degenerate parameters still yield a usable window.
-        let tiny = WindowPolicy { min_width: 0, ratio: 0.0, quality: 1.0 };
-        assert_eq!(tiny.half_extent(0), (1, 1));
+        assert_eq!(w(0.0).half_extent(0), (1, 1));
     }
 
     #[test]
     fn quality_guard_tolerates_the_configured_factor() {
-        let p = WindowPolicy { min_width: 2, ratio: 0.5, quality: 1.5 };
+        let p = WindowedPlacer::default();
         assert!(!p.violates_guard(1.5, 1.0));
         assert!(p.violates_guard(1.6, 1.0));
         assert!(!p.violates_guard(0.0, 0.0));

@@ -294,10 +294,7 @@ pub fn sa_initial_placement_early_stop(
 
 /// The SA initial placement selected by `cfg.engine`: the exhaustive engine
 /// runs the full iteration budget; the windowed engine applies its
-/// `sa_patience` early stop. Both the direct path and
-/// [`InitialPlacementCache::get_or_compute`] route through here, so cached
-/// and uncached compilations agree per engine (and the cache key's engine
-/// tokens keep the entries apart).
+/// `sa_patience` early stop.
 pub(crate) fn sa_for_engine(
     arch: &Architecture,
     staged: &StagedCircuit,
@@ -440,111 +437,6 @@ fn sa_anneal(
     zac_telemetry::metrics::PLACE_SA_RESYNCS.add(inc.resyncs());
 
     Ok(best)
-}
-
-/// Shared, thread-safe memo of SA initial placements.
-///
-/// The SA result depends only on the storage/entanglement zone geometry, the
-/// staged circuit, and the SA parameters — notably *not* on the AOD count —
-/// so sweeps that vary only the AOD configuration (fig14) or re-plan the
-/// same circuit repeatedly can share one cache. Clones share storage.
-/// Sharing is bit-identical to recomputation: the cached value is exactly
-/// what [`sa_initial_placement`] returns for the same inputs.
-#[derive(Debug, Clone, Default)]
-pub struct InitialPlacementCache {
-    /// Per-key single-flight slots: the map lock is held only to fetch the
-    /// slot, and `OnceLock::get_or_init` blocks concurrent misses on the
-    /// *same* key while the first caller computes (distinct keys compute in
-    /// parallel) — so each (geometry, circuit, config) runs the SA at most
-    /// once even under a racing parallel sweep.
-    #[allow(clippy::type_complexity)]
-    inner: std::sync::Arc<
-        std::sync::Mutex<
-            std::collections::HashMap<
-                u64,
-                std::sync::Arc<std::sync::OnceLock<Result<Vec<Loc>, PlaceError>>>,
-            >,
-        >,
-    >,
-}
-
-impl InitialPlacementCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct (geometry, circuit, SA-config) entries cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("placement cache poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Everything the SA output depends on — zone geometry (storage and
-    /// entanglement SLMs), the circuit fingerprint, and the SA parameters —
-    /// plus the placement-engine tokens. The SA itself is engine-independent
-    /// today, but keying on the engine keeps the cache trivially sound if an
-    /// engine ever shapes the initial placement, and guarantees two engines
-    /// never share a slot.
-    fn key(arch: &Architecture, staged: &StagedCircuit, cfg: &crate::PlacementConfig) -> u64 {
-        let mut fp = zac_circuit::Fingerprint::new();
-        fp.write_u64(staged.fingerprint());
-        fp.write_usize(cfg.sa_iterations);
-        fp.write_u64(cfg.seed);
-        cfg.engine.config_tokens(&mut fp);
-        for zones in [arch.storage_zones(), arch.entanglement_zones()] {
-            fp.write_usize(zones.len());
-            for z in zones {
-                fp.write_usize(z.slms.len());
-                for slm in &z.slms {
-                    fp.write_f64(slm.offset.x);
-                    fp.write_f64(slm.offset.y);
-                    fp.write_f64(slm.sep.0);
-                    fp.write_f64(slm.sep.1);
-                    fp.write_usize(slm.num_row);
-                    fp.write_usize(slm.num_col);
-                }
-            }
-        }
-        fp.finish()
-    }
-
-    /// Returns the cached SA placement for this (geometry, circuit, config),
-    /// computing and inserting it on first use. Concurrent misses on the
-    /// same key block on the first caller's computation instead of
-    /// duplicating it, so [`InitialPlacementCache::len`] equals the number
-    /// of SA runs actually performed.
-    ///
-    /// # Errors
-    ///
-    /// [`PlaceError::StorageFull`] if the circuit does not fit in storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache lock is poisoned.
-    pub fn get_or_compute(
-        &self,
-        arch: &Architecture,
-        staged: &StagedCircuit,
-        cfg: &crate::PlacementConfig,
-    ) -> Result<Vec<Loc>, PlaceError> {
-        let key = Self::key(arch, staged, cfg);
-        let slot =
-            self.inner.lock().expect("placement cache poisoned").entry(key).or_default().clone();
-        slot.get_or_init(|| sa_for_engine(arch, staged, cfg)).clone()
-    }
 }
 
 #[cfg(test)]
@@ -767,38 +659,6 @@ mod tests {
                 assert_eq!(fast, slow, "{} seed {seed}", staged.name);
             }
         }
-    }
-
-    /// Regression for the engine-aware cache key: configurations differing
-    /// only in the placement engine must occupy distinct cache slots (a
-    /// shared slot would let one engine's artifacts leak into the other's
-    /// compilations if an engine ever shapes the initial placement).
-    #[test]
-    fn cache_never_shares_a_slot_across_engines() {
-        use crate::{PlacementConfig, PlacementEngine, WindowedPlacer};
-        let arch = arch();
-        let staged = preprocess(&bench_circuits::ghz(8));
-        let cache = InitialPlacementCache::new();
-        let mut cfg = PlacementConfig {
-            sa_iterations: 100,
-            engine: PlacementEngine::Exhaustive,
-            ..PlacementConfig::default()
-        };
-        let exhaustive = cache.get_or_compute(&arch, &staged, &cfg).unwrap();
-        cfg.engine = PlacementEngine::windowed();
-        let windowed = cache.get_or_compute(&arch, &staged, &cfg).unwrap();
-        assert_eq!(cache.len(), 2, "two engines must never share a cache slot");
-        // The windowed engine caps and early-stops its anneal, so the cached
-        // values themselves diverge — exactly why a shared slot would be
-        // unsound.
-        assert_ne!(exhaustive, windowed, "engines anneal differently; a shared slot would leak");
-        // Same engine, different window parameters: a third slot.
-        cfg.engine = PlacementEngine::Windowed(WindowedPlacer {
-            window_min_width: 4,
-            ..WindowedPlacer::default()
-        });
-        cache.get_or_compute(&arch, &staged, &cfg).unwrap();
-        assert_eq!(cache.len(), 3, "window parameters are part of the key");
     }
 
     /// Same check on a multi-zone architecture (different geometry paths).

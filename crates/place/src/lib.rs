@@ -35,9 +35,9 @@ pub mod initial;
 
 use std::fmt;
 
-pub use dynamic::{plan_placement, plan_placement_cached, PlacementPlan, StagePlan};
-pub use engine::{ExhaustivePlacer, PlacementEngine, Placer, WindowedPlacer};
-pub use initial::{sa_initial_placement, trivial_initial_placement, InitialPlacementCache};
+pub use dynamic::{plan_placement, PlacementPlan, StagePlan};
+pub use engine::{PlacementEngine, WindowedPlacer};
+pub use initial::{sa_initial_placement, trivial_initial_placement};
 
 /// Configuration of the placement pipeline; the paper's ablation settings
 /// (Fig. 11) map onto the three booleans (`use_sa`, `dynamic`, `reuse`).
@@ -60,10 +60,8 @@ pub struct PlacementConfig {
     pub neighbor_k: usize,
     /// Lookahead weight α in the return cost (Eq. 3; the paper uses 0.1).
     pub lookahead_alpha: f64,
-    /// Placement engine driving the per-stage candidate search. The default
-    /// honors the `ZAC_PLACER` environment variable (see
-    /// [`PlacementEngine::from_env`]); golden-locked tests pin
-    /// [`PlacementEngine::Exhaustive`] explicitly.
+    /// Placement engine driving the per-stage candidate search (default
+    /// [`PlacementEngine::Exhaustive`], the paper's search).
     pub engine: PlacementEngine,
 }
 
@@ -78,7 +76,7 @@ impl Default for PlacementConfig {
             window_expansion: 2,
             neighbor_k: 2,
             lookahead_alpha: 0.1,
-            engine: PlacementEngine::from_env(),
+            engine: PlacementEngine::Exhaustive,
         }
     }
 }

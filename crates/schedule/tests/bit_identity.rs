@@ -38,7 +38,8 @@ const FAST_QUBIT_CAP: usize = 31;
 
 fn place_cfg(seed: u64) -> PlacementConfig {
     // The goldens were captured from the exhaustive search; pin the engine so
-    // the matrix stays meaningful under `ZAC_PLACER=windowed` runs.
+    // the matrix names the engine it locks rather than relying on the
+    // default.
     PlacementConfig {
         sa_iterations: SA_ITERATIONS,
         seed,

@@ -6,11 +6,13 @@
 //! that have none. Past the binder, a request is well-formed; whether it
 //! *runs* is the planner's call.
 //!
-//! Compiler resolution is fingerprint-faithful: the instances bound here
-//! are constructed exactly like `zac_bench::default_compilers()`'s lineup
-//! (the `Zoned-ZAC` config is the service's — `zac_bench::zac_config()`
-//! unless overridden), so a serve-side cache key equals the bench-side key
-//! and serving shares warm state with direct `BatchRunner` runs.
+//! Compiler resolution is a table lookup: [`Binder::new`] builds every
+//! compiler a request can name once, and each bind hands out a shared
+//! handle. The instances are fingerprint-faithful — constructed exactly like
+//! `zac_bench::default_compilers()`'s lineup (the `Zoned-ZAC` config is the
+//! service's, `zac_bench::zac_config()` unless overridden) — so a serve-side
+//! cache key equals the bench-side key and serving shares warm state with
+//! direct `BatchRunner` runs.
 
 use crate::protocol::Request;
 use std::sync::Arc;
@@ -53,17 +55,40 @@ impl std::fmt::Debug for BoundRequest {
     }
 }
 
+/// Placement-engine overrides a `Zoned-ZAC` request may name.
+const ENGINES: [&str; 2] = ["exhaustive", "windowed"];
+
 /// Resolves compilers and parses circuits. One per service, configured
 /// with the service's `Zoned-ZAC` configuration.
 pub struct Binder {
-    zac_config: ZacConfig,
+    /// `(label, engine override)` → the compiler every such request shares.
+    compilers: Vec<(String, Option<&'static str>, Arc<dyn Compiler>)>,
 }
 
 impl Binder {
     /// A binder whose `Zoned-ZAC` uses `zac_config` (the service default is
-    /// `zac_bench::zac_config()`, the paper configuration).
+    /// `zac_bench::zac_config()`, the paper configuration). Builds the
+    /// lineup's five baselines plus `Zoned-ZAC` under the base config and
+    /// under each engine override.
     pub fn new(zac_config: ZacConfig) -> Self {
-        Self { zac_config }
+        let mut compilers: Vec<(String, Option<&'static str>, Arc<dyn Compiler>)> =
+            zac_bench::default_compilers()
+                .into_iter()
+                .filter(|c| c.name() != "Zoned-ZAC")
+                .map(|c| (c.name().to_owned(), None, Arc::from(c)))
+                .collect();
+        for engine in [None, Some("exhaustive"), Some("windowed")] {
+            let mut config = zac_config.clone();
+            if let Some(engine) = engine {
+                config.placement.engine = match engine {
+                    "windowed" => PlacementEngine::windowed(),
+                    _ => PlacementEngine::Exhaustive,
+                };
+            }
+            let zac = Zac::with_config(Architecture::reference(), config);
+            compilers.push(("Zoned-ZAC".to_owned(), engine, Arc::new(zac)));
+        }
+        Self { compilers }
     }
 
     /// Validates `request` into runnable work.
@@ -84,7 +109,7 @@ impl Binder {
         }
         Ok(BoundRequest {
             id: request.id,
-            compiler: Arc::from(compiler),
+            compiler,
             circuits,
             priority: request.priority,
             deadline_ms: request.deadline_ms,
@@ -93,36 +118,21 @@ impl Binder {
         })
     }
 
-    /// Resolves a compiler label (+ optional engine override) to a fresh
-    /// instance, fingerprint-equal to the bench lineup's.
-    fn resolve(&self, name: &str, engine: Option<&str>) -> Result<Box<dyn Compiler>, String> {
-        let engine = match engine {
-            None => None,
-            Some("exhaustive") => Some(PlacementEngine::Exhaustive),
-            Some("windowed") => Some(PlacementEngine::windowed()),
-            Some(other) => {
-                return Err(format!(
-                    "unknown engine `{other}` (expected `exhaustive` or `windowed`)"
-                ))
-            }
-        };
-        if name == "Zoned-ZAC" {
-            let mut config = self.zac_config.clone();
-            if let Some(engine) = engine {
-                config.placement.engine = engine;
-            }
-            return Ok(Box::new(Zac::with_config(Architecture::reference(), config)));
+    /// Looks up a compiler label (+ optional engine override) in the table.
+    fn resolve(&self, name: &str, engine: Option<&str>) -> Result<Arc<dyn Compiler>, String> {
+        if let Some(other) = engine.filter(|e| !ENGINES.contains(e)) {
+            return Err(format!("unknown engine `{other}` (expected `exhaustive` or `windowed`)"));
         }
-        if engine.is_some() {
-            return Err(format!("engine override only applies to `Zoned-ZAC`, not `{name}`"));
+        match self.compilers.iter().find(|(label, e, _)| label == name && *e == engine) {
+            Some((_, _, compiler)) => Ok(Arc::clone(compiler)),
+            None if engine.is_some() => {
+                Err(format!("engine override only applies to `Zoned-ZAC`, not `{name}`"))
+            }
+            None => Err(format!(
+                "unknown compiler `{name}` (known: {})",
+                zac_bench::COMPILERS.join(", ")
+            )),
         }
-        zac_bench::default_compilers()
-            .into_iter()
-            .find(|c| c.name() == name)
-            .map(|c| c as Box<dyn Compiler>)
-            .ok_or_else(|| {
-                format!("unknown compiler `{name}` (known: {})", zac_bench::COMPILERS.join(", "))
-            })
     }
 }
 
@@ -165,9 +175,9 @@ mod tests {
 
     #[test]
     fn engine_override_changes_only_the_zac_fingerprint() {
-        // Pin the base engine: the service's default honors `ZAC_PLACER`
-        // (tests run under both values in CI), so anchor on an explicit
-        // exhaustive base rather than whatever the environment says.
+        // Pin the base engine explicitly, so the check below compares the
+        // `exhaustive` override against a known base rather than whatever
+        // the service default happens to be.
         let mut config = zac_bench::zac_config();
         config.placement.engine = zac_place::PlacementEngine::Exhaustive;
         let binder = Binder::new(config);
@@ -185,6 +195,24 @@ mod tests {
             exhaustive.compiler.fingerprint(),
             "explicit `exhaustive` equals the pinned base engine"
         );
+    }
+
+    #[test]
+    fn binds_of_one_label_and_engine_share_one_compiler() {
+        let binder = binder();
+        for label in zac_bench::COMPILERS {
+            let a = binder.bind(ghz_request("a", label)).unwrap();
+            let b = binder.bind(ghz_request("b", label)).unwrap();
+            assert!(Arc::ptr_eq(&a.compiler, &b.compiler), "{label}");
+        }
+        for engine in ENGINES {
+            let bind = |id| {
+                let mut req = ghz_request(id, "Zoned-ZAC");
+                req.engine = Some(engine.into());
+                binder.bind(req).unwrap().compiler
+            };
+            assert!(Arc::ptr_eq(&bind("a"), &bind("b")), "{engine}");
+        }
     }
 
     #[test]

@@ -100,8 +100,9 @@ fn main() {
     }
     let service = Service::new(config);
 
-    // One writer thread serializes all responses; per-request forwarders
-    // feed it so streams interleave without tearing lines.
+    // One writer thread serializes all responses; every request streams
+    // into a clone of its sender, so streams interleave without tearing
+    // lines.
     let (out_tx, out_rx) = channel::<Response>();
     let writer = std::thread::spawn(move || {
         let stdout = std::io::stdout();
@@ -114,29 +115,17 @@ fn main() {
         }
     });
 
-    let mut forwarders = Vec::new();
     for line in std::io::stdin().lock().lines() {
         let Ok(line) = line else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let rx = service.submit_line(&line);
-        let out_tx = out_tx.clone();
-        forwarders.push(std::thread::spawn(move || {
-            for response in rx {
-                if out_tx.send(response).is_err() {
-                    return;
-                }
-            }
-        }));
+        service.submit_line_to(&line, out_tx.clone());
     }
 
-    // Graceful drain: each forwarder's stream ends only after its request's
-    // terminal response, so joining them guarantees no in-flight work is
-    // abandoned; dropping the sender then lets the writer flush and exit.
-    for forwarder in forwarders {
-        forwarder.join().ok();
-    }
+    // Graceful drain: the service drops a request's sender clones only
+    // after its terminal response, so once our own sender is gone the
+    // writer's stream ends exactly when no work is left in flight.
     drop(out_tx);
     writer.join().ok();
 }

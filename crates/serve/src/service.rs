@@ -2,14 +2,16 @@
 //!
 //! `submit` carries a request through binder → planner → executor and hands
 //! back the response stream; `submit_line` is the same entry point for raw
-//! protocol lines (stdin, sockets, load generators). Every failure mode is
-//! a response on the stream — the methods themselves never fail.
+//! protocol lines (stdin, sockets, load generators). The `_to` forms stream
+//! into a caller-owned sender instead, so one channel can carry every
+//! request's responses. Every failure mode is a response on the stream —
+//! the methods themselves never fail.
 
 use crate::bind::Binder;
 use crate::exec::{Executor, ResilienceConfig};
 use crate::plan::Planner;
 use crate::protocol::{Request, Response};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use zac_cache::CompileCache;
 use zac_core::admission::AdmissionLimits;
 use zac_core::ZacConfig;
@@ -116,6 +118,15 @@ impl Service {
     /// protocol.
     pub fn submit(&self, request: Request) -> Receiver<Response> {
         let (tx, rx) = channel();
+        self.submit_to(request, tx);
+        rx
+    }
+
+    /// [`submit`](Self::submit) streaming into a caller-owned sender, so
+    /// many requests can share one channel (the binary's single writer).
+    /// Every clone of `tx` the service keeps is dropped once the request's
+    /// terminal response is sent.
+    pub fn submit_to(&self, request: Request, tx: Sender<Response>) {
         SERVE_REQUESTS_SUBMITTED.incr();
         // Snapshot before any work so the Done delta covers binding too.
         let base = zac_telemetry::enabled().then(MetricsSnapshot::capture);
@@ -136,7 +147,7 @@ impl Service {
             Ok(bound) => bound,
             Err(reason) => {
                 tx.send(Response::Error { id: Some(id), reason }).ok();
-                return rx;
+                return;
             }
         };
         let planned = match self.planner.plan(bound) {
@@ -144,25 +155,29 @@ impl Service {
             Err(reason) => {
                 SERVE_REQUESTS_REJECTED.incr();
                 tx.send(Response::Rejected { id, reason }).ok();
-                return rx;
+                return;
             }
         };
         self.executor.submit(planned, tx, base);
-        rx
     }
 
     /// [`submit`](Self::submit) for one raw protocol line.
     pub fn submit_line(&self, line: &str) -> Receiver<Response> {
+        let (tx, rx) = channel();
+        self.submit_line_to(line, tx);
+        rx
+    }
+
+    /// [`submit_to`](Self::submit_to) for one raw protocol line.
+    pub fn submit_line_to(&self, line: &str, tx: Sender<Response>) {
         match serde_json::from_str::<Request>(line) {
-            Ok(request) => self.submit(request),
+            Ok(request) => self.submit_to(request, tx),
             Err(e) => {
-                let (tx, rx) = channel();
                 // Best-effort id recovery so the client can correlate.
                 let id = serde_json::from_str::<serde::Value>(line)
                     .ok()
                     .and_then(|v| serde::ObjectView::new(&v).ok()?.opt_field("id").ok()?);
                 tx.send(Response::Error { id, reason: format!("malformed request: {e}") }).ok();
-                rx
             }
         }
     }

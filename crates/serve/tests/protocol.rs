@@ -249,3 +249,146 @@ fn reversed_qreg_brackets_get_an_error_and_the_binary_keeps_serving() {
     let done = done.expect("the normal request terminates with Done");
     assert_eq!((done.id.as_str(), done.ok, done.rejected, done.failed), ("normal", 1, 0, 0));
 }
+
+/// A parameter nested 100,000 parentheses deep once overflowed the parsing
+/// thread's stack and aborted the binary. It must come back as a typed
+/// `error`, and the next request must still be served exactly as a direct
+/// compile would produce it.
+#[test]
+fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
+    let corpus = bundled_corpus();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zac-serve"))
+        .env("ZAC_SERVE_WORKERS", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn zac-serve");
+    {
+        let mut stdin = child.stdin.take().unwrap();
+        let depth = 100_000;
+        let qasm = format!(
+            "OPENQASM 2.0;\nqreg q[1];\nrz({}1{}) q[0];",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let hostile =
+            Request::new("hostile", "Zoned-ZAC", vec![CircuitEntry { name: "deep".into(), qasm }]);
+        writeln!(stdin, "{}", serde_json::to_string(&hostile).unwrap()).unwrap();
+        let normal = Request::new(
+            "normal",
+            "Zoned-ZAC",
+            vec![CircuitEntry { name: corpus[0].0.clone(), qasm: corpus[0].1.clone() }],
+        );
+        writeln!(stdin, "{}", serde_json::to_string(&normal).unwrap()).unwrap();
+    }
+
+    let mut saw_error = false;
+    let mut served = None;
+    let mut done = None;
+    for line in BufReader::new(child.stdout.take().unwrap()).lines() {
+        let line = line.expect("read response line");
+        match serde_json::from_str::<Response>(&line)
+            .unwrap_or_else(|e| panic!("bad line `{line}`: {e}"))
+        {
+            Response::Error { id, reason } => {
+                assert_eq!(id.as_deref(), Some("hostile"));
+                assert!(reason.contains("nested deeper than"), "{reason}");
+                saw_error = true;
+            }
+            Response::Result { id, outcome, .. } => {
+                assert_eq!(id, "normal");
+                served = Some(outcome.output().expect("the next request compiles").clone());
+            }
+            Response::Done(d) => done = Some(d),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    let status = child.wait().expect("binary exits");
+    assert!(status.success(), "no abort, got {status:?}");
+    assert!(saw_error, "the hostile request got its typed error");
+    let done = done.expect("the normal request terminates with Done");
+    assert_eq!((done.id.as_str(), done.ok, done.rejected, done.failed), ("normal", 1, 0, 0));
+
+    let zac = Zac::with_config(Architecture::reference(), zac_bench::zac_config());
+    let circuit = parse_qasm(&corpus[0].1, &corpus[0].0).expect("corpus QASM parses");
+    let direct = Compiler::compile(&zac, &preprocess(&circuit)).expect("direct compile");
+    assert_eq!(
+        served.expect("the normal request streamed its result").semantic_json().unwrap(),
+        direct.semantic_json().unwrap(),
+        "served output must match a direct compile"
+    );
+}
+
+/// `(Threads, VmSize in KiB)` of a live process, from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn threads_and_vm_kib(pid: u32) -> (usize, usize) {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let field = |key: &str| -> usize {
+        let line = status.lines().find(|l| l.starts_with(key)).expect(key);
+        line[key.len()..].trim().trim_end_matches("kB").trim().parse().expect(key)
+    };
+    (field("Threads:"), field("VmSize:"))
+}
+
+/// A long session must not leak a thread (or its stack mapping) per
+/// request: the binary keeps one writer, the watchdog and its workers, and
+/// its address space stays flat once warm.
+#[cfg(target_os = "linux")]
+#[test]
+fn long_sessions_hold_threads_and_address_space_flat() {
+    const WORKERS: usize = 2;
+    const REQUESTS: usize = 1_000;
+    let corpus = bundled_corpus();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_zac-serve"))
+        .env("ZAC_SERVE_WORKERS", WORKERS.to_string())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn zac-serve");
+    let pid = child.id();
+    let mut stdin = child.stdin.take().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    // One small circuit, repeated: after the first compile every request is
+    // a memory-cache hit, so the loop measures the session, not the compiler.
+    let entry = CircuitEntry { name: corpus[0].0.clone(), qasm: corpus[0].1.clone() };
+
+    let mut warm_vm = 0;
+    let mut max_threads = 0;
+    for i in 0..REQUESTS {
+        let request = Request::new(format!("r{i}"), "Zoned-ZAC", vec![entry.clone()]);
+        writeln!(stdin, "{}", serde_json::to_string(&request).unwrap()).unwrap();
+        // Closed loop: read this request's stream through its terminal line.
+        loop {
+            let line = lines.next().expect("a response line").expect("read response line");
+            match serde_json::from_str::<Response>(&line)
+                .unwrap_or_else(|e| panic!("bad line `{line}`: {e}"))
+            {
+                Response::Result { outcome, .. } => assert!(outcome.output().is_some()),
+                Response::Done(done) => {
+                    assert_eq!((done.id, done.ok), (format!("r{i}"), 1));
+                    break;
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        if i % 50 == 49 || i + 1 == REQUESTS {
+            let (threads, vm_kib) = threads_and_vm_kib(pid);
+            max_threads = max_threads.max(threads);
+            if i + 1 == 100 {
+                warm_vm = vm_kib;
+            }
+            if i + 1 == REQUESTS {
+                let growth_mib = vm_kib.saturating_sub(warm_vm) / 1024;
+                assert!(growth_mib < 64, "VmSize grew {growth_mib} MiB from request 100 to {i}");
+            }
+        }
+    }
+    assert!(max_threads <= WORKERS + 3, "{max_threads} threads for {WORKERS} workers");
+
+    drop(stdin);
+    assert!(lines.next().is_none(), "every response was already delivered");
+    let status = child.wait().expect("binary exits");
+    assert!(status.success(), "graceful shutdown exits 0, got {status:?}");
+}

@@ -252,7 +252,7 @@ fn compile_deadlines_cancel_runaway_work_cooperatively() {
     // Enough SA iterations that the compile runs for tens of milliseconds —
     // far past the 5 ms budget — unless the watchdog's cancellation lands.
     // The engine is pinned: only the exhaustive engine always runs the full
-    // budget (windowed caps iterations, so a ZAC_PLACER=windowed run would
+    // budget (windowed caps iterations, so a windowed base config would
     // finish before the deadline and see nothing to cancel).
     slow.placement.sa_iterations = 50_000_000;
     slow.placement.engine = zac_place::PlacementEngine::Exhaustive;

@@ -311,3 +311,74 @@ fn telemetry_attaches_metrics_delta_and_trace_to_done() {
         other => panic!("expected Done, got {other:?}"),
     }
 }
+
+/// Load replay through the wire entry point: 4 concurrent clients submit
+/// the bundled corpus (`tests/corpus/` at the workspace root) as protocol
+/// lines in a cold wave, then — after a barrier — a warm wave that must be
+/// served from the shared cache on ≥ 90% of its lookups.
+#[test]
+fn concurrent_corpus_replay_warm_wave_is_served_from_cache() {
+    const CLIENTS: usize = 4;
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("bundled corpus directory")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x.eq_ignore_ascii_case("qasm")))
+        .collect();
+    files.sort();
+    let corpus: Vec<CircuitEntry> = files
+        .iter()
+        .map(|p| CircuitEntry {
+            name: p.file_stem().unwrap().to_string_lossy().into_owned(),
+            qasm: std::fs::read_to_string(p).expect("corpus file readable"),
+        })
+        .collect();
+    assert!(corpus.len() >= 10, "the bundled corpus is non-trivial");
+
+    let service = test_service(2);
+    let wave = |wave: &str| {
+        let start = std::sync::Barrier::new(CLIENTS);
+        std::thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let (service, corpus, start) = (&service, &corpus, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let request =
+                        Request::new(format!("{wave}-c{client}"), "Zoned-ZAC", corpus.clone());
+                    let line = serde_json::to_string(&request).expect("request serializes");
+                    let responses: Vec<Response> = service.submit_line(&line).iter().collect();
+                    for response in &responses[..responses.len() - 1] {
+                        match response {
+                            Response::Result { name, outcome, .. } => {
+                                assert!(outcome.output().is_some(), "{name} must compile");
+                            }
+                            other => panic!("unexpected response: {other:?}"),
+                        }
+                    }
+                    match responses.last() {
+                        Some(Response::Done(done)) => {
+                            assert_eq!(done.ok, corpus.len(), "{}", done.id)
+                        }
+                        other => panic!("expected a terminal Done, got {other:?}"),
+                    }
+                });
+            }
+        });
+    };
+
+    wave("cold");
+    let cold = service.cache().stats();
+    wave("warm");
+    let stats = service.cache().stats();
+    // The warm wave performs one lookup per (request, circuit); its hits
+    // are the delta over the cold wave.
+    let warm_lookups = stats.lookups() - cold.lookups();
+    let warm_hits = (stats.hits + stats.disk_hits) - (cold.hits + cold.disk_hits);
+    let warm_hit_rate = warm_hits as f64 / warm_lookups as f64;
+    assert_eq!(warm_lookups, (CLIENTS * corpus.len()) as u64);
+    assert!(
+        warm_hit_rate >= 0.9,
+        "warm wave must be served from cache (hit rate {warm_hit_rate:.3})"
+    );
+}

@@ -209,14 +209,14 @@ pub fn hit(point: &'static str) -> Option<std::io::Error> {
         STATE_OFF => None,
         STATE_ON => hit_slow(point),
         _ => {
-            init_from_env();
+            init_from_environment();
             hit(point)
         }
     }
 }
 
 #[cold]
-fn init_from_env() {
+fn init_from_environment() {
     let target = match std::env::var("ZAC_FAULTS") {
         Ok(spec) if !spec.is_empty() => match FaultPlan::parse(&spec) {
             Ok(plan) => {

@@ -70,12 +70,12 @@ pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         STATE_ON => true,
         STATE_OFF => false,
-        _ => init_from_env(),
+        _ => init_from_environment(),
     }
 }
 
 #[cold]
-fn init_from_env() -> bool {
+fn init_from_environment() -> bool {
     let on = std::env::var("ZAC_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0");
     let target = if on { STATE_ON } else { STATE_OFF };
     // Only transition out of UNINIT: a concurrent set_enabled() wins.

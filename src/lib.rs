@@ -59,9 +59,7 @@ pub mod prelude {
         ZacOutput,
     };
     pub use zac_fidelity::{FidelityReport, NeutralAtomParams};
-    pub use zac_place::{
-        ExhaustivePlacer, PlacementConfig, PlacementEngine, Placer, WindowedPlacer,
-    };
+    pub use zac_place::{PlacementConfig, PlacementEngine, WindowedPlacer};
     pub use zac_schedule::ScheduleWorkspace;
     pub use zac_serve::{
         AdmissionLimits, CircuitEntry, EntryOutcome, RejectReason, Request, Response, Service,

@@ -75,27 +75,41 @@ fn trait_output_matches_inherent_zac_output() {
     assert_eq!(unified.counts, GateCounts::from(&rich.summary));
 }
 
+/// The paper lineup with `Zoned-ZAC` on the given placement engine.
+fn lineup(engine: &PlacementEngine) -> Vec<Box<dyn Compiler>> {
+    let mut compilers = default_compilers();
+    let mut config = ZacConfig::full();
+    config.placement.engine = engine.clone();
+    let zac = compilers.last_mut().expect("non-empty lineup");
+    assert_eq!(zac.name(), "Zoned-ZAC");
+    *zac = Box::new(Zac::with_config(Architecture::reference(), config));
+    compilers
+}
+
 #[test]
 fn batch_runner_is_deterministic_under_rayon() {
     let suite = probes();
-    let compilers = default_compilers();
-    let par = BatchRunner::parallel().run(&compilers, &suite);
-    let ser = BatchRunner::serial().run(&compilers, &suite);
-    assert_eq!(par.len(), ser.len());
-    for (p, s) in par.iter().zip(&ser) {
-        assert_eq!(p.name, s.name);
-        assert_eq!(p.results.len(), s.results.len());
-        for (pr, sr) in p.results.iter().zip(&s.results) {
-            assert_eq!(pr.compiler, sr.compiler);
-            assert_eq!(pr.report, sr.report, "{} / {}", p.name, pr.compiler);
-            assert_eq!(pr.counts, sr.counts, "{} / {}", p.name, pr.compiler);
+    for engine in [PlacementEngine::Exhaustive, PlacementEngine::windowed()] {
+        let compilers = lineup(&engine);
+        let par = BatchRunner::parallel().run(&compilers, &suite);
+        let ser = BatchRunner::serial().run(&compilers, &suite);
+        assert_eq!(par.len(), ser.len());
+        for (p, s) in par.iter().zip(&ser) {
+            assert_eq!(p.name, s.name);
+            assert_eq!(p.results.len(), s.results.len());
+            for (pr, sr) in p.results.iter().zip(&s.results) {
+                let cell = format!("{} / {} ({})", p.name, pr.compiler, engine.name());
+                assert_eq!(pr.compiler, sr.compiler);
+                assert_eq!(pr.report, sr.report, "{cell}");
+                assert_eq!(pr.counts, sr.counts, "{cell}");
+            }
         }
-    }
-    // Repeated parallel runs are also identical to each other.
-    let par2 = BatchRunner::parallel().run(&compilers, &suite);
-    for (a, b) in par.iter().zip(&par2) {
-        for (ra, rb) in a.results.iter().zip(&b.results) {
-            assert_eq!(ra.report, rb.report);
+        // Repeated parallel runs are also identical to each other.
+        let par2 = BatchRunner::parallel().run(&compilers, &suite);
+        for (a, b) in par.iter().zip(&par2) {
+            for (ra, rb) in a.results.iter().zip(&b.results) {
+                assert_eq!(ra.report, rb.report);
+            }
         }
     }
 }
@@ -109,4 +123,29 @@ fn labeled_wrapper_renames_without_changing_results() {
     let a = Compiler::compile(&zac, &staged).unwrap();
     let b = labeled.compile(&staged).unwrap();
     assert_eq!(a.report, b.report);
+}
+
+/// Compiler fingerprints are the compiler half of every cache key and of
+/// every record in a persisted segment store, so a refactor that changes one
+/// silently orphans all stored outputs of that compiler. Pinned to the
+/// values of the paper lineup and of the windowed Zoned-ZAC arm.
+#[test]
+fn compiler_fingerprints_are_pinned() {
+    let lineup: Vec<(String, u64)> =
+        default_compilers().iter().map(|c| (c.name().to_owned(), c.fingerprint())).collect();
+    let expected = [
+        ("SC-Heron", 0x848d_ada5_8761_289c),
+        ("SC-Grid", 0x1785_414b_5963_8e2e),
+        ("Monolithic-Atomique", 0xe137_cb12_fd42_4455),
+        ("Monolithic-Enola", 0xea04_f159_e7c9_0806),
+        ("Zoned-NALAC", 0xb6b8_4cc0_440f_08eb),
+        ("Zoned-ZAC", 0x10e1_eac4_5ab8_e4a9),
+    ];
+    assert_eq!(lineup.len(), expected.len());
+    for ((name, fp), (want_name, want_fp)) in lineup.iter().zip(expected) {
+        assert_eq!(name, want_name);
+        assert_eq!(*fp, want_fp, "{name}: fingerprint {fp:#018x} drifted");
+    }
+    let windowed = Zac::with_config(Architecture::reference(), ZacConfig::windowed());
+    assert_eq!(windowed.fingerprint(), 0xb6ed_6110_c69e_40e7, "windowed Zoned-ZAC drifted");
 }

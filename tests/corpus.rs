@@ -30,13 +30,16 @@ fn bundled_corpus_parses_cleanly_in_deterministic_order() {
 /// parameters (qft_n5), whole-register broadcast (bv_n6), and custom gate
 /// definitions (adder_n4, ising_n6) — sweeps across the full lineup with
 /// zero `CellFailure`s, and the parallel sweep is bit-identical to a
-/// serial rerun through the shared cache.
+/// serial rerun through the shared cache. A windowed Zoned-ZAC arm rides
+/// along so both placement engines sweep the corpus.
 #[test]
 fn corpus_sweep_is_failure_free_and_deterministic() {
     let corpus = load_corpus(CORPUS_DIR);
     assert!(corpus.is_clean(), "{:#?}", corpus.failures);
     let suite = corpus.suite();
-    let compilers = default_compilers();
+    let mut compilers = default_compilers();
+    let windowed = Zac::with_config(Architecture::reference(), ZacConfig::windowed());
+    compilers.push(Box::new(Labeled::new("Zoned-ZAC-windowed", windowed)));
     let cache = CompileCache::in_memory(1024);
 
     let rows = BatchRunner::parallel().with_cache(cache.clone()).run(&compilers, &suite);

@@ -14,28 +14,31 @@ fn quick_config() -> ZacConfig {
 #[test]
 fn every_suite_circuit_compiles_and_validates() {
     let arch = Architecture::reference();
-    for entry in bench_circuits::paper_suite() {
-        let staged = preprocess(&entry.circuit);
-        let zac = Zac::with_config(arch.clone(), quick_config());
-        let out =
-            zac.compile_staged(&staged).unwrap_or_else(|e| panic!("{}: {e}", entry.circuit.name()));
-        // The ZAIR interpreter re-validates the emitted program.
-        let analysis = out.program.analyze(&arch).expect("valid ZAIR");
-        assert_eq!(analysis.g2, staged.num_2q_gates(), "{}", entry.circuit.name());
-        assert_eq!(analysis.g1, staged.num_1q_gates(), "{}", entry.circuit.name());
-        assert_eq!(analysis.n_exc, 0, "{}: zoned guarantee", entry.circuit.name());
-        // Semantic verification: the right gates fire in dependency order.
-        // (Auto-split staging must be used when the zone is narrower.)
-        let effective = if staged.max_parallelism() > arch.num_sites() {
-            staged.with_max_stage_width(arch.num_sites())
-        } else {
-            staged.clone()
-        };
-        out.program
-            .verify_against(&arch, &effective)
-            .unwrap_or_else(|e| panic!("{}: {e}", entry.circuit.name()));
-        let f = out.total_fidelity();
-        assert!((0.0..=1.0).contains(&f), "{}: fidelity {f}", entry.circuit.name());
+    for engine in [PlacementEngine::Exhaustive, PlacementEngine::windowed()] {
+        let mut config = quick_config();
+        config.placement.engine = engine.clone();
+        let zac = Zac::with_config(arch.clone(), config);
+        for entry in bench_circuits::paper_suite() {
+            let staged = preprocess(&entry.circuit);
+            let name = format!("{} ({})", entry.circuit.name(), engine.name());
+            let out = zac.compile_staged(&staged).unwrap_or_else(|e| panic!("{name}: {e}"));
+            // The ZAIR interpreter re-validates the emitted program.
+            let analysis = out.program.analyze(&arch).expect("valid ZAIR");
+            assert_eq!(analysis.g2, staged.num_2q_gates(), "{name}");
+            assert_eq!(analysis.g1, staged.num_1q_gates(), "{name}");
+            assert_eq!(analysis.n_exc, 0, "{name}: zoned guarantee");
+            // Semantic verification: the right gates fire in dependency
+            // order. (Auto-split staging must be used when the zone is
+            // narrower.)
+            let effective = if staged.max_parallelism() > arch.num_sites() {
+                staged.with_max_stage_width(arch.num_sites())
+            } else {
+                staged.clone()
+            };
+            out.program.verify_against(&arch, &effective).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let f = out.total_fidelity();
+            assert!((0.0..=1.0).contains(&f), "{name}: fidelity {f}");
+        }
     }
 }
 
