@@ -17,7 +17,7 @@ pub mod corpus;
 use rayon::prelude::*;
 use zac_arch::Architecture;
 use zac_baselines::{Atomique, Enola, Nalac, Sc};
-use zac_cache::{CacheKey, CompileCache};
+use zac_cache::CompileCache;
 use zac_circuit::{bench_circuits, preprocess, StagedCircuit};
 use zac_core::{CompileError, CompileOutput, Compiler, GateCounts, Zac, ZacConfig};
 use zac_fidelity::FidelityReport;
@@ -141,28 +141,15 @@ pub fn run_cell(compiler: &dyn Compiler, staged: &StagedCircuit) -> RunOutcome {
     run_cell_with(compiler, staged, None)
 }
 
-/// [`run_cell`] with an optional shared [`CompileCache`]: the cache is
-/// consulted first (hits carry their original compile time and
-/// `from_cache == true`), and successful fresh compilations populate it.
+/// [`run_cell`] with an optional shared [`CompileCache`], compiled through
+/// [`CompileCache::get_or_compile`] (hits carry their original compile time
+/// and `from_cache == true`; successful fresh compilations populate it).
 pub fn run_cell_with(
     compiler: &dyn Compiler,
     staged: &StagedCircuit,
     cache: Option<&CompileCache>,
 ) -> RunOutcome {
-    if let Some(cache) = cache {
-        let key = CacheKey::compute(compiler, staged);
-        if let Some(out) = cache.get(key) {
-            return RunOutcome::Ok(RunResult::from_output(compiler, out));
-        }
-        return match compiler.compile(staged) {
-            Ok(out) => {
-                cache.put(key, &out);
-                RunOutcome::Ok(RunResult::from_output(compiler, out))
-            }
-            Err(e) => outcome_from_error(e),
-        };
-    }
-    match compiler.compile(staged) {
+    match cache.map_or_else(|| compiler.compile(staged), |c| c.get_or_compile(compiler, staged)) {
         Ok(out) => RunOutcome::Ok(RunResult::from_output(compiler, out)),
         Err(e) => outcome_from_error(e),
     }

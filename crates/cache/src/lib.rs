@@ -23,10 +23,10 @@
 //!   in-memory misses and shared across processes.
 //!
 //! [`CompileCache`] composes the layers behind one `get`/`put` API with
-//! [`CacheStats`] counters, and [`CachedCompiler`] wraps any compiler so
-//! caching slots transparently into harness code — including
-//! `zac_bench::BatchRunner::with_cache`, which shares one cache across a
-//! whole suite × compiler sweep.
+//! [`CacheStats`] counters, and [`CompileCache::get_or_compile`] is the one
+//! compile-through path: the bench harness (`zac_bench::run_cell_with`,
+//! hence `BatchRunner::with_cache`) and the `zac-serve` executor both call
+//! it.
 //!
 //! Cache hits return the *original* `compile_time` (never the lookup time)
 //! and are marked with [`CompileOutput::from_cache`]` == true`; everything
@@ -36,16 +36,16 @@
 //!
 //! ```
 //! use zac_arch::Architecture;
-//! use zac_cache::{CachedCompiler, CompileCache};
+//! use zac_cache::CompileCache;
 //! use zac_circuit::{bench_circuits, preprocess};
-//! use zac_core::{Compiler, Zac};
+//! use zac_core::Zac;
 //!
 //! let cache = CompileCache::in_memory(1024);
-//! let zac = CachedCompiler::new(Zac::new(Architecture::reference()), cache.clone());
+//! let zac = Zac::new(Architecture::reference());
 //! let staged = preprocess(&bench_circuits::ghz(8));
 //!
-//! let cold = zac.compile(&staged)?;          // compiles
-//! let warm = zac.compile(&staged)?;          // served from the cache
+//! let cold = cache.get_or_compile(&zac, &staged)?; // compiles
+//! let warm = cache.get_or_compile(&zac, &staged)?; // served from the cache
 //! assert!(!cold.from_cache && warm.from_cache);
 //! assert_eq!(warm.report, cold.report);
 //! assert_eq!(warm.compile_time, cold.compile_time); // original, not lookup
@@ -162,8 +162,8 @@ pub struct WarmReport {
 /// A two-layer (memory + optional disk) compilation cache.
 ///
 /// Cloning is cheap (`Arc`) and clones share storage and counters — hand
-/// one cache to every [`CachedCompiler`] and `BatchRunner` in a process so
-/// sweeps share hits.
+/// one cache to every `BatchRunner` and service in a process so sweeps
+/// share hits.
 #[derive(Clone)]
 pub struct CompileCache {
     inner: Arc<Inner>,
@@ -284,6 +284,31 @@ impl CompileCache {
         metrics::CACHE_INSERTIONS.incr();
     }
 
+    /// Compiles `staged` with `compiler` through the cache: computes the
+    /// [`CacheKey`], returns a hit (see [`get`](Self::get)), and otherwise
+    /// compiles and [`put`](Self::put)s the output.
+    ///
+    /// Only successful outputs are cached; errors ([`CompileError`]) are
+    /// recomputed on every call — they fail fast, and caching them would
+    /// mask capacity-dependent behavior if the compiler is reconfigured.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compiler.compile` returns on a miss.
+    pub fn get_or_compile(
+        &self,
+        compiler: &dyn Compiler,
+        staged: &StagedCircuit,
+    ) -> Result<CompileOutput, CompileError> {
+        let key = CacheKey::compute(compiler, staged);
+        if let Some(out) = self.get(key) {
+            return Ok(out);
+        }
+        let out = compiler.compile(staged)?;
+        self.put(key, &out);
+        Ok(out)
+    }
+
     /// A consistent-enough snapshot of the counters (individual counters
     /// are exact; cross-counter sums may be mid-update under concurrency).
     pub fn stats(&self) -> CacheStats {
@@ -331,63 +356,6 @@ impl CompileCache {
             report.warmed += 1;
         }
         report
-    }
-}
-
-/// Wraps a compiler so every `compile` consults a [`CompileCache`] first.
-///
-/// Transparent by construction: `name`, `config_tokens` and `fingerprint`
-/// all forward to the inner compiler, so a cached and an uncached instance
-/// of the same compiler share cache entries — and a `CachedCompiler` can
-/// replace its inner compiler anywhere (legend labels, sweep lineups)
-/// without changing results.
-///
-/// Only successful outputs are cached; errors ([`CompileError`]) are
-/// recomputed on every call — they fail fast, and caching them would mask
-/// capacity-dependent behavior if the wrapped compiler is reconfigured.
-pub struct CachedCompiler<C> {
-    inner: C,
-    cache: CompileCache,
-}
-
-impl<C: Compiler> CachedCompiler<C> {
-    /// Wraps `inner` over `cache`.
-    pub fn new(inner: C, cache: CompileCache) -> Self {
-        Self { inner, cache }
-    }
-
-    /// The shared cache.
-    pub fn cache(&self) -> &CompileCache {
-        &self.cache
-    }
-
-    /// Unwraps the inner compiler.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-}
-
-impl<C: Compiler> Compiler for CachedCompiler<C> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn config_tokens(&self, fp: &mut Fingerprint) {
-        self.inner.config_tokens(fp);
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
-    }
-
-    fn compile(&self, staged: &StagedCircuit) -> Result<CompileOutput, CompileError> {
-        let key = CacheKey::compute(&self.inner, staged);
-        if let Some(out) = self.cache.get(key) {
-            return Ok(out);
-        }
-        let out = self.inner.compile(staged)?;
-        self.cache.put(key, &out);
-        Ok(out)
     }
 }
 
@@ -474,11 +442,11 @@ mod tests {
     #[test]
     fn hit_skips_inner_compile_and_preserves_output() {
         let cache = CompileCache::in_memory(64);
-        let zac = CachedCompiler::new(Counting::new(quick_zac()), cache.clone());
+        let zac = Counting::new(quick_zac());
         let staged = preprocess(&bench_circuits::ghz(10));
-        let cold = zac.compile(&staged).unwrap();
-        let warm = zac.compile(&staged).unwrap();
-        assert_eq!(zac.into_inner().calls.into_inner(), 1, "second call served from cache");
+        let cold = cache.get_or_compile(&zac, &staged).unwrap();
+        let warm = cache.get_or_compile(&zac, &staged).unwrap();
+        assert_eq!(zac.calls.into_inner(), 1, "second call served from cache");
         assert!(!cold.from_cache && warm.from_cache);
         assert_eq!(warm.summary, cold.summary);
         assert_eq!(warm.report, cold.report);
@@ -496,22 +464,19 @@ mod tests {
     #[test]
     fn distinct_circuits_and_compilers_do_not_collide() {
         let cache = CompileCache::in_memory(64);
-        let full = CachedCompiler::new(quick_zac(), cache.clone());
-        let vanilla = CachedCompiler::new(
-            Zac::with_config(Architecture::reference(), zac_core::ZacConfig::vanilla()),
-            cache.clone(),
-        );
+        let full = quick_zac();
+        let vanilla = Zac::with_config(Architecture::reference(), zac_core::ZacConfig::vanilla());
         let a = preprocess(&bench_circuits::ghz(10));
         let b = preprocess(&bench_circuits::bv(10, 9));
-        let fa = full.compile(&a).unwrap();
-        let fb = full.compile(&b).unwrap();
-        let va = vanilla.compile(&a).unwrap();
+        let fa = cache.get_or_compile(&full, &a).unwrap();
+        let fb = cache.get_or_compile(&full, &b).unwrap();
+        let va = cache.get_or_compile(&vanilla, &a).unwrap();
         assert_eq!(cache.stats().insertions, 3, "three distinct cells, three entries");
         assert_ne!(fa.summary.name, fb.summary.name);
         // Same circuit, different config: cached separately, and the
         // vanilla arm really is a different compilation.
         assert!(!va.from_cache);
-        assert_eq!(full.compile(&a).unwrap().report, fa.report);
+        assert_eq!(cache.get_or_compile(&full, &a).unwrap().report, fa.report);
     }
 
     #[test]
@@ -523,9 +488,9 @@ mod tests {
                 let cache = cache.clone();
                 let staged = &staged;
                 scope.spawn(move || {
-                    let zac = CachedCompiler::new(quick_zac(), cache);
+                    let zac = quick_zac();
                     for _ in 0..3 {
-                        zac.compile(staged).unwrap();
+                        cache.get_or_compile(&zac, staged).unwrap();
                     }
                 });
             }
@@ -539,14 +504,13 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let cache = CompileCache::in_memory(8);
-        let counting = Counting::new(Zac::new(Architecture::arch1_small()));
-        let zac = CachedCompiler::new(counting, cache.clone());
+        let zac = Counting::new(Zac::new(Architecture::arch1_small()));
         let mut big = zac_circuit::Circuit::new("big", 121);
         big.cz(0, 1);
         let staged = preprocess(&big);
-        assert!(zac.compile(&staged).is_err());
-        assert!(zac.compile(&staged).is_err());
-        assert_eq!(zac.into_inner().calls.into_inner(), 2, "errors recomputed every call");
+        assert!(cache.get_or_compile(&zac, &staged).is_err());
+        assert!(cache.get_or_compile(&zac, &staged).is_err());
+        assert_eq!(zac.calls.into_inner(), 2, "errors recomputed every call");
         assert_eq!(cache.stats().insertions, 0);
     }
 
@@ -557,15 +521,14 @@ mod tests {
         let cold_report;
         {
             let cache = CompileCache::with_segment_store(32, &dir).unwrap();
-            let zac = CachedCompiler::new(quick_zac(), cache.clone());
-            cold_report = zac.compile(&staged).unwrap().report;
+            cold_report = cache.get_or_compile(&quick_zac(), &staged).unwrap().report;
             assert_eq!(cache.stats().disk_writes, 1);
         }
         // A brand-new process-like cache over the same directory.
         let cache = CompileCache::with_segment_store(32, &dir).unwrap();
-        let zac = CachedCompiler::new(Counting::new(quick_zac()), cache.clone());
-        let warm = zac.compile(&staged).unwrap();
-        assert_eq!(zac.into_inner().calls.into_inner(), 0, "served entirely from disk");
+        let zac = Counting::new(quick_zac());
+        let warm = cache.get_or_compile(&zac, &staged).unwrap();
+        assert_eq!(zac.calls.into_inner(), 0, "served entirely from disk");
         assert!(warm.from_cache);
         assert_eq!(warm.report, cold_report);
         let stats = cache.stats();
@@ -595,11 +558,11 @@ mod tests {
     #[test]
     fn memory_hit_preserves_phase_timings() {
         let cache = CompileCache::in_memory(64);
-        let zac = CachedCompiler::new(quick_zac(), cache);
+        let zac = quick_zac();
         let staged = preprocess(&bench_circuits::ghz(10));
-        let cold = zac.compile(&staged).unwrap();
+        let cold = cache.get_or_compile(&zac, &staged).unwrap();
         let phases = cold.phases.expect("a Zac compile reports phase timings");
-        let warm = zac.compile(&staged).unwrap();
+        let warm = cache.get_or_compile(&zac, &staged).unwrap();
         assert!(warm.from_cache);
         assert_eq!(warm.phases, Some(phases), "memory hit kept the phase split");
     }
@@ -614,13 +577,16 @@ mod tests {
         let phases;
         {
             let cache = CompileCache::with_segment_store(32, &dir).unwrap();
-            let zac = CachedCompiler::new(quick_zac(), cache);
-            phases = zac.compile(&staged).unwrap().phases.expect("phases on the cold compile");
+            phases = cache
+                .get_or_compile(&quick_zac(), &staged)
+                .unwrap()
+                .phases
+                .expect("phases on the cold compile");
         }
         let cache = CompileCache::with_segment_store(32, &dir).unwrap();
-        let zac = CachedCompiler::new(Counting::new(quick_zac()), cache.clone());
-        let warm = zac.compile(&staged).unwrap();
-        assert_eq!(zac.into_inner().calls.into_inner(), 0, "served entirely from disk");
+        let zac = Counting::new(quick_zac());
+        let warm = cache.get_or_compile(&zac, &staged).unwrap();
+        assert_eq!(zac.calls.into_inner(), 0, "served entirely from disk");
         assert_eq!(warm.phases, Some(phases), "disk record round-tripped the phase split");
         // The promoted in-memory copy keeps them as well.
         let remembered = cache.get(CacheKey::compute(&quick_zac(), &staged)).unwrap();

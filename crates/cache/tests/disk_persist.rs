@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 use zac_arch::Architecture;
-use zac_cache::{CacheKey, CachedCompiler, CompileCache};
+use zac_cache::{CacheKey, CompileCache};
 use zac_circuit::{bench_circuits, preprocess};
 use zac_core::{Compiler, Zac};
 
@@ -32,18 +32,18 @@ fn persist_dir() -> PathBuf {
 fn disk_round_trip_reproduces_outputs_cold_and_warm() {
     let dir = persist_dir();
     let cache = CompileCache::with_segment_store(64, &dir).expect("cache dir creates");
-    let cached = CachedCompiler::new(Zac::new(Architecture::reference()), cache.clone());
+    let zac = Zac::new(Architecture::reference());
 
     for circuit in [bench_circuits::ghz(10), bench_circuits::bv(8, 7)] {
         let staged = preprocess(&circuit);
-        let key = CacheKey::compute(&Zac::new(Architecture::reference()), &staged);
+        let key = CacheKey::compute(&zac, &staged);
         // "Pre-existing" means a *loadable* entry: a record left by an
         // older payload-format version is legitimately a miss, not a warm
         // hit. The probing get() also warms the in-memory layer, which is
         // exactly what serving the entry means.
         let preexisting = cache.get(key).is_some();
 
-        let served = cached.compile(&staged).expect("compiles");
+        let served = cache.get_or_compile(&zac, &staged).expect("compiles");
         assert_eq!(
             served.from_cache, preexisting,
             "{}: pre-existing entries must be served from disk, fresh cells compiled",

@@ -287,15 +287,6 @@ impl Circuit {
         self.cx(y, x).ccx_decomposed(ctrl, x, y).cx(y, x)
     }
 
-    /// Appends a controlled-Ry(θ) using the 2-CX identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid operands.
-    pub fn cry_decomposed(&mut self, theta: f64, c: usize, t: usize) -> &mut Self {
-        self.ry(theta / 2.0, t).cx(c, t).ry(-theta / 2.0, t).cx(c, t)
-    }
-
     /// Appends the qelib1 controlled-Y decomposition (`sdg t; cx c,t; s t`).
     ///
     /// # Panics

@@ -544,7 +544,11 @@ pub fn parse_qasm(source: &str, name: &str) -> Result<Circuit, QasmError> {
                 if regs.insert(rname.clone(), (total_qubits, size)).is_some() {
                     return Err(err(*line, format!("duplicate qreg '{rname}'")));
                 }
-                total_qubits += size;
+                // Checked: a wrapped sum would hand later registers offsets
+                // outside the circuit (or report no qubits at all).
+                total_qubits = total_qubits
+                    .checked_add(size)
+                    .ok_or_else(|| err(*line, "total qubit count overflows"))?;
             }
             "gate" => {
                 let (gname, def) = parse_gate_def(stmt, *line)?;
@@ -975,6 +979,20 @@ mod tests {
         let ok = format!("{}pi{}", "(".repeat(100), ")".repeat(100));
         assert_eq!(parse(ok).unwrap(), 1);
         assert_eq!(parse(format!("{}1", "-".repeat(100))).unwrap(), 1);
+    }
+
+    /// Register sizes whose sum overflows `usize` get a typed error instead
+    /// of wrapping (which either indexed past the circuit and panicked, or
+    /// wrapped to zero and claimed no register was declared).
+    #[test]
+    fn register_size_overflow_is_an_error() {
+        for src in [
+            "OPENQASM 2.0; qreg a[18446744073709551615]; qreg b[2]; cx b[0],b[1];",
+            "OPENQASM 2.0; qreg a[9223372036854775808]; qreg b[9223372036854775808];",
+        ] {
+            let e = parse_qasm(src, "overflow").unwrap_err();
+            assert!(e.message.contains("total qubit count overflows"), "{src}: {e}");
+        }
     }
 
     /// Regression (issue): the old head splitter used `find(')')` and broke

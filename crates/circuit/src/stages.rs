@@ -140,12 +140,6 @@ impl StagedCircuit {
         self.stages.iter().enumerate().flat_map(|(t, s)| s.gates.iter().map(move |g| (t, g)))
     }
 
-    /// The interaction multigraph: one `(a, b)` entry per CZ, in stage order.
-    /// Used by the Enola baseline's edge-coloring scheduler.
-    pub fn interaction_multigraph(&self) -> Vec<(usize, usize)> {
-        self.gates_with_stage().map(|(_, g)| (g.a, g.b)).collect()
-    }
-
     /// Returns a copy where no stage holds more than `max` gates: oversized
     /// stages are split into consecutive chunks (their `pre_1q` gates stay
     /// with the first chunk).
@@ -294,12 +288,6 @@ mod tests {
         let mut s = sample();
         s.stages[1].gates.push(Gate2 { id: 0, a: 0, b: 3 });
         assert_eq!(s.validate().unwrap_err(), StageError::DuplicateGateId { id: 0 });
-    }
-
-    #[test]
-    fn interaction_multigraph_order() {
-        let s = sample();
-        assert_eq!(s.interaction_multigraph(), vec![(0, 1), (2, 3), (1, 2)]);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub struct CompileOutput {
     pub program: Option<Program>,
     /// Whether this output was served from a compilation cache rather than
     /// freshly compiled. Always `false` from a bare compiler; set by
-    /// `zac-cache`'s `CachedCompiler`/`CompileCache` on hits.
+    /// `zac-cache`'s `CompileCache::get` (hence `get_or_compile`) on hits.
     pub from_cache: bool,
     /// Per-phase (place vs. schedule) timing breakdown, when the backend
     /// has that pipeline shape. Like [`compile_time`](Self::compile_time),

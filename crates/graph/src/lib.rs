@@ -1,6 +1,6 @@
 //! Graph-algorithm substrate for the ZAC compiler.
 //!
-//! The ZAC paper (HPCA 2025) relies on four classic combinatorial routines,
+//! The ZAC paper (HPCA 2025) relies on three classic combinatorial routines,
 //! which this crate implements from scratch:
 //!
 //! * [`hopcroft_karp`] — maximum-cardinality bipartite matching, used to find
@@ -12,9 +12,6 @@
 //!   non-reuse qubit placement (paper Sec. V-B.2/3).
 //! * [`mis`] — greedy maximal independent set, used to group compatible qubit
 //!   movements into rearrangement jobs (paper Sec. VI, following Enola).
-//! * [`edge_coloring`] — Misra–Gries edge coloring (≤ Δ+1 colors) plus a greedy
-//!   multigraph variant, used by the Enola baseline to schedule entangling
-//!   gates into a near-optimal number of Rydberg stages.
 //!
 //! A [`reference`] module provides brute-force implementations used by the
 //! property-based tests to validate the production algorithms on small inputs.
@@ -31,12 +28,10 @@
 //! ```
 
 pub mod assignment;
-pub mod edge_coloring;
 pub mod hopcroft_karp;
 pub mod mis;
 pub mod reference;
 
 pub use assignment::{min_weight_full_matching, AssignmentError, AssignmentWorkspace, CostMatrix};
-pub use edge_coloring::{greedy_multigraph_edge_coloring, misra_gries_edge_coloring};
 pub use hopcroft_karp::max_bipartite_matching;
 pub use mis::{greedy_maximal_independent_set, MisWorkspace};

@@ -3,7 +3,7 @@
 //! ZAC's per-stage placement solves hundreds of min-weight matchings of
 //! similar shape over one compilation. With a reused [`AssignmentWorkspace`]
 //! and a [`CostMatrix`] recycled via `reset`, every solve after the first
-//! must perform **zero heap allocations** — the acceptance criterion of the
+//! must perform **zero heap allocations** — the acceptance requirement of the
 //! workspace-reuse optimization. A counting global allocator makes the claim
 //! checkable instead of asserted.
 

@@ -5,7 +5,7 @@
 //! job planning — must perform **zero** heap allocations: every buffer
 //! (including the `PendingJob` shells) is pooled in the workspace. A
 //! counting global allocator makes the claim checkable instead of asserted
-//! (the acceptance criterion of the scheduler-core refactor; same technique
+//! (the acceptance requirement of the scheduler-core refactor; same technique
 //! as `zac-graph/tests/alloc_free.rs`).
 //!
 //! Emission is excluded by design: it materializes the output `Program`,

@@ -12,11 +12,12 @@
 //! enough slots the newcomer is rejected whole with
 //! [`RejectReason::QueueFull`] — equal-priority work is never displaced.
 //!
-//! The compile path is byte-for-byte the bench harness's `run_cell_with`:
-//! cache get → compile → cache put, against one [`CompileCache`] shared by
-//! every worker. The serving layer never touches compilation semantics —
-//! that is the bit-identity guarantee, locked by `tests/serve.rs` at the
-//! workspace root.
+//! The compile path is the bench harness's: both `run_cell_with` and this
+//! executor call [`CompileCache::get_or_compile`] (key → get → compile →
+//! put), here against one [`CompileCache`] shared by every worker. The
+//! serving layer never touches compilation semantics — that is the
+//! bit-identity guarantee, locked by `tests/serve.rs` at the workspace
+//! root.
 //!
 //! # Resilience (PR 9)
 //!
@@ -49,7 +50,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use zac_cache::{CacheKey, CompileCache};
+use zac_cache::CompileCache;
 use zac_circuit::StagedCircuit;
 use zac_core::admission::RejectReason;
 use zac_core::{CompileError, Compiler};
@@ -649,8 +650,8 @@ fn process(shared: &Shared, slot: &Slot, job: Job) {
     report(&run, job.index, job.staged.name.clone(), outcome);
 }
 
-/// The compile path proper: fault point, cache get, compile under the
-/// installed cancel scope, cache put.
+/// The compile path proper: fault point, then the cache's compile-through
+/// path under the installed cancel scope.
 fn compile_entry(
     shared: &Shared,
     job: &Job,
@@ -667,16 +668,11 @@ fn compile_entry(
     if let Some(e) = zac_telemetry::fault_point!("serve.exec.compile") {
         return EntryOutcome::Failed(EntryError::Compile(e.to_string()));
     }
-    let key = CacheKey::compute(&*run.compiler, &job.staged);
-    if let Some(out) = shared.cache.get(key) {
-        return EntryOutcome::Ok(Box::new(out));
-    }
+    // Installed before the cache lookup: nothing in `zac-cache` polls a
+    // `CancelToken`, so only the compile on a miss can observe it.
     let _scope = token.install();
-    match run.compiler.compile(&job.staged) {
-        Ok(out) => {
-            shared.cache.put(key, &out);
-            EntryOutcome::Ok(Box::new(out))
-        }
+    match shared.cache.get_or_compile(&*run.compiler, &job.staged) {
+        Ok(out) => EntryOutcome::Ok(Box::new(out)),
         Err(CompileError::CircuitTooLarge { needed, available }) => {
             EntryOutcome::Rejected(RejectReason::TooLarge { needed, available })
         }

@@ -194,11 +194,12 @@ fn stdin_eof_drains_in_flight_work_and_exits_zero() {
     assert_eq!((done.ok, done.rejected, done.failed), (total, 0, 0));
 }
 
-/// `qreg q]x[;` once panicked the QASM parser and killed the binary with
-/// exit 101. It must come back as a typed `error` naming the request, and
-/// the next request on the same connection must still compile.
-#[test]
-fn reversed_qreg_brackets_get_an_error_and_the_binary_keeps_serving() {
+/// Sends one hostile request, then a normal one, to a fresh binary. The
+/// hostile line must come back as a typed `error` naming the request whose
+/// reason contains `expected`; the next request must still be served
+/// exactly as a direct compile would produce it; and the process must exit
+/// 0 at EOF.
+fn hostile_line_gets_an_error_and_the_binary_keeps_serving(qasm: String, expected: &str) {
     let corpus = bundled_corpus();
     let mut child = Command::new(env!("CARGO_BIN_EXE_zac-serve"))
         .env("ZAC_SERVE_WORKERS", "1")
@@ -212,68 +213,8 @@ fn reversed_qreg_brackets_get_an_error_and_the_binary_keeps_serving() {
         let hostile = Request::new(
             "hostile",
             "Zoned-ZAC",
-            vec![CircuitEntry { name: "rev".into(), qasm: "OPENQASM 2.0;\nqreg q]x[;".into() }],
+            vec![CircuitEntry { name: "hostile".into(), qasm }],
         );
-        writeln!(stdin, "{}", serde_json::to_string(&hostile).unwrap()).unwrap();
-        let normal = Request::new(
-            "normal",
-            "Zoned-ZAC",
-            vec![CircuitEntry { name: corpus[0].0.clone(), qasm: corpus[0].1.clone() }],
-        );
-        writeln!(stdin, "{}", serde_json::to_string(&normal).unwrap()).unwrap();
-    }
-
-    let mut saw_error = false;
-    let mut done = None;
-    for line in BufReader::new(child.stdout.take().unwrap()).lines() {
-        let line = line.expect("read response line");
-        match serde_json::from_str::<Response>(&line)
-            .unwrap_or_else(|e| panic!("bad line `{line}`: {e}"))
-        {
-            Response::Error { id, reason } => {
-                assert_eq!(id.as_deref(), Some("hostile"));
-                assert!(reason.contains("malformed qreg"), "{reason}");
-                saw_error = true;
-            }
-            Response::Result { id, outcome, .. } => {
-                assert_eq!(id, "normal");
-                assert!(outcome.output().is_some(), "the next request compiles");
-            }
-            Response::Done(d) => done = Some(d),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-    let status = child.wait().expect("binary exits");
-    assert!(status.success(), "no panic exit, got {status:?}");
-    assert!(saw_error, "the hostile request got its typed error");
-    let done = done.expect("the normal request terminates with Done");
-    assert_eq!((done.id.as_str(), done.ok, done.rejected, done.failed), ("normal", 1, 0, 0));
-}
-
-/// A parameter nested 100,000 parentheses deep once overflowed the parsing
-/// thread's stack and aborted the binary. It must come back as a typed
-/// `error`, and the next request must still be served exactly as a direct
-/// compile would produce it.
-#[test]
-fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
-    let corpus = bundled_corpus();
-    let mut child = Command::new(env!("CARGO_BIN_EXE_zac-serve"))
-        .env("ZAC_SERVE_WORKERS", "1")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn zac-serve");
-    {
-        let mut stdin = child.stdin.take().unwrap();
-        let depth = 100_000;
-        let qasm = format!(
-            "OPENQASM 2.0;\nqreg q[1];\nrz({}1{}) q[0];",
-            "(".repeat(depth),
-            ")".repeat(depth)
-        );
-        let hostile =
-            Request::new("hostile", "Zoned-ZAC", vec![CircuitEntry { name: "deep".into(), qasm }]);
         writeln!(stdin, "{}", serde_json::to_string(&hostile).unwrap()).unwrap();
         let normal = Request::new(
             "normal",
@@ -293,7 +234,7 @@ fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
         {
             Response::Error { id, reason } => {
                 assert_eq!(id.as_deref(), Some("hostile"));
-                assert!(reason.contains("nested deeper than"), "{reason}");
+                assert!(reason.contains(expected), "{reason}");
                 saw_error = true;
             }
             Response::Result { id, outcome, .. } => {
@@ -305,7 +246,7 @@ fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
         }
     }
     let status = child.wait().expect("binary exits");
-    assert!(status.success(), "no abort, got {status:?}");
+    assert!(status.success(), "no panic exit, got {status:?}");
     assert!(saw_error, "the hostile request got its typed error");
     let done = done.expect("the normal request terminates with Done");
     assert_eq!((done.id.as_str(), done.ok, done.rejected, done.failed), ("normal", 1, 0, 0));
@@ -317,6 +258,37 @@ fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
         served.expect("the normal request streamed its result").semantic_json().unwrap(),
         direct.semantic_json().unwrap(),
         "served output must match a direct compile"
+    );
+}
+
+/// `qreg q]x[;` once panicked the QASM parser and killed the binary with
+/// exit 101.
+#[test]
+fn reversed_qreg_brackets_get_an_error_and_the_binary_keeps_serving() {
+    hostile_line_gets_an_error_and_the_binary_keeps_serving(
+        "OPENQASM 2.0;\nqreg q]x[;".into(),
+        "malformed qreg",
+    );
+}
+
+/// A parameter nested 100,000 parentheses deep once overflowed the parsing
+/// thread's stack and aborted the binary.
+#[test]
+fn deeply_nested_expression_gets_an_error_and_the_binary_keeps_serving() {
+    let depth = 100_000;
+    let qasm =
+        format!("OPENQASM 2.0;\nqreg q[1];\nrz({}1{}) q[0];", "(".repeat(depth), ")".repeat(depth));
+    hostile_line_gets_an_error_and_the_binary_keeps_serving(qasm, "nested deeper than");
+}
+
+/// Register sizes summing past `usize::MAX` once wrapped in release: the
+/// second register's offset pointed outside the circuit, `Circuit::push`
+/// panicked on the session thread, and the binary exited 101.
+#[test]
+fn register_size_overflow_gets_an_error_and_the_binary_keeps_serving() {
+    hostile_line_gets_an_error_and_the_binary_keeps_serving(
+        "OPENQASM 2.0;\nqreg a[18446744073709551615];\nqreg b[2];\ncx b[0],b[1];".into(),
+        "total qubit count overflows",
     );
 }
 

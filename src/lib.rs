@@ -51,7 +51,7 @@ pub mod prelude {
     pub use zac_arch::Architecture;
     pub use zac_bench::corpus::{load_corpus, Corpus, CorpusEntry, LoadFailure};
     pub use zac_bench::{BatchRunner, CellFailure, ComparisonRow, RunOutcome};
-    pub use zac_cache::{CacheKey, CacheStats, CachedCompiler, CompileCache};
+    pub use zac_cache::{CacheKey, CacheStats, CompileCache};
     pub use zac_circuit::bench_circuits;
     pub use zac_circuit::{Circuit, Fingerprint};
     pub use zac_core::{
@@ -70,8 +70,9 @@ pub mod prelude {
 }
 
 // Compile every fenced Rust block in the README as a doctest (`cargo test
-// --doc`), so the documented snippets — including the `CachedCompiler`
-// usage example — can never drift from the real API.
+// --doc`), so the documented snippets — including the
+// `CompileCache::get_or_compile` usage example — can never drift from the
+// real API.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
 struct ReadmeDoctests;

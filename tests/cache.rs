@@ -1,7 +1,7 @@
 //! Facade-level integration tests of the caching subsystem: fingerprints,
-//! `CachedCompiler`, the segment-store disk tier, and cached `BatchRunner`
-//! sweeps, all driven through the public `zac::` API exactly as a
-//! downstream user would.
+//! `CompileCache::get_or_compile`, the segment-store disk tier, and cached
+//! `BatchRunner` sweeps, all driven through the public `zac::` API exactly
+//! as a downstream user would.
 
 use zac::bench::{default_compilers, BatchRunner};
 use zac::circuit::{bench_circuits, preprocess, StagedCircuit};
@@ -12,25 +12,24 @@ fn probes() -> Vec<StagedCircuit> {
 }
 
 #[test]
-fn cached_compiler_is_transparent_through_the_facade() {
+fn equal_compilers_share_one_entry_through_the_facade() {
     let cache = CompileCache::in_memory(64);
-    let bare = Zac::new(Architecture::reference());
-    let cached = CachedCompiler::new(bare.clone(), cache.clone());
-    // Identity forwards: a cached and an uncached instance share keys.
-    assert_eq!(Compiler::fingerprint(&cached), Compiler::fingerprint(&bare));
-    assert_eq!(cached.name(), bare.name());
+    // Two distinct instances with equal config: the second one's lookup
+    // hits the entry the first one's compile stored.
+    let first = Zac::new(Architecture::reference());
+    let second = Zac::new(Architecture::reference());
 
     for staged in probes() {
-        let cold = cached.compile(&staged).unwrap();
-        let warm = cached.compile(&staged).unwrap();
-        let reference = Compiler::compile(&bare, &staged).unwrap();
+        let cold = cache.get_or_compile(&first, &staged).unwrap();
+        let warm = cache.get_or_compile(&second, &staged).unwrap();
+        let reference = Compiler::compile(&first, &staged).unwrap();
         assert!(!cold.from_cache && warm.from_cache, "{}", staged.name);
         assert_eq!(warm.report, reference.report, "{}", staged.name);
         assert_eq!(warm.summary, reference.summary, "{}", staged.name);
         assert_eq!(warm.compile_time, cold.compile_time, "{}: original timing", staged.name);
     }
     let stats = cache.stats();
-    assert_eq!((stats.hits, stats.misses), (2, 2));
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 2, 2));
     assert!(stats.hit_rate() > 0.49 && stats.hit_rate() < 0.51);
 }
 
@@ -62,12 +61,10 @@ fn disk_cache_round_trips_through_the_facade() {
     let first;
     {
         let cache = CompileCache::with_segment_store(16, &dir).unwrap();
-        let zac = CachedCompiler::new(Zac::new(Architecture::reference()), cache);
-        first = zac.compile(&staged).unwrap();
+        first = cache.get_or_compile(&Zac::new(Architecture::reference()), &staged).unwrap();
     }
     let cache = CompileCache::with_segment_store(16, &dir).unwrap();
-    let zac = CachedCompiler::new(Zac::new(Architecture::reference()), cache.clone());
-    let revived = zac.compile(&staged).unwrap();
+    let revived = cache.get_or_compile(&Zac::new(Architecture::reference()), &staged).unwrap();
     assert!(revived.from_cache, "fresh cache warms from disk");
     assert_eq!(revived.report, first.report);
     assert_eq!(revived.summary, first.summary);

@@ -50,13 +50,11 @@ fn telemetry_never_changes_output_and_observes_the_pipeline() {
         let on = compile_suite(engine);
         // A cached pass exercises the cache namespace under the recorder:
         // one miss, one memory hit.
-        let cached = CachedCompiler::new(
-            Zac::with_config(Architecture::reference(), engine_config(engine)),
-            CompileCache::in_memory(16),
-        );
+        let cache = CompileCache::in_memory(16);
+        let zac = Zac::with_config(Architecture::reference(), engine_config(engine));
         let staged = preprocess(&bench_circuits::ghz(8));
-        let first = cached.compile(&staged).expect("cold compile");
-        let second = cached.compile(&staged).expect("warm compile");
+        let first = cache.get_or_compile(&zac, &staged).expect("cold compile");
+        let second = cache.get_or_compile(&zac, &staged).expect("warm compile");
         assert_eq!(first.program, second.program);
         // And a QASM parse exercises the circuit namespace.
         let qasm = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0], q[1];\n";
