@@ -122,8 +122,8 @@ pub enum CompileError {
     },
     /// Any other pipeline failure, with the backend's own message.
     Failed(String),
-    /// The compile was cancelled cooperatively (a deadline watchdog fired a
-    /// [`zac_telemetry::cancel::CancelToken`] mid-pipeline). Not a property
+    /// The compile was cancelled cooperatively (a deadline installed with
+    /// [`zac_telemetry::cancel::install`] passed mid-pipeline). Not a property
     /// of the circuit: retrying with a longer budget may succeed.
     Cancelled,
 }

@@ -371,6 +371,10 @@ pub(crate) fn plan_with_window(
     let mut plans = Vec::with_capacity(staged.stages.len());
 
     for (t, stage) in staged.stages.iter().enumerate() {
+        // Cooperative cancellation, once per stage and off the RNG stream.
+        if zac_telemetry::cancel::cancelled() {
+            return Err(PlaceError::Cancelled);
+        }
         let next_gates = staged.stages.get(t + 1).map(|s| s.gates.as_slice());
         let plain = solve_stage(
             arch,
@@ -1174,6 +1178,14 @@ mod tests {
             lookahead_alpha: 0.1,
             engine: crate::PlacementEngine::Exhaustive,
         }
+    }
+
+    #[test]
+    fn a_passed_deadline_cancels_the_stage_loop() {
+        // SA is off, so only the per-stage poll can see the deadline.
+        let staged = preprocess(&bench_circuits::ghz(8));
+        let _deadline = zac_telemetry::cancel::install(std::time::Instant::now());
+        assert_eq!(plan_placement(&arch(), &staged, &cfg(true)), Err(PlaceError::Cancelled));
     }
 
     #[test]

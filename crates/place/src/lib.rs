@@ -100,8 +100,8 @@ pub enum PlaceError {
     },
     /// An internal invariant was violated (with description).
     Invalid(String),
-    /// An installed [`zac_telemetry::cancel::CancelToken`] fired; the
-    /// placement was abandoned cooperatively (no partial plan escapes).
+    /// The deadline installed with [`zac_telemetry::cancel::install`]
+    /// passed; the placement was abandoned cooperatively (no partial plan escapes).
     Cancelled,
 }
 

@@ -166,12 +166,14 @@ pub(crate) fn emit_transition(
     let (mut jobs_emitted, mut readiness_reexams) = (0u64, 0u64);
     let mut rounds = 0u64;
     while !pending.is_empty() {
-        // Cooperative cancellation: a watchdog-fired token aborts the
-        // emission cleanly instead of holding the worker past its deadline.
-        rounds += 1;
+        // Cooperative cancellation: a passed deadline aborts the emission
+        // cleanly instead of holding the worker past it. Polled on the first
+        // round of every transition (narrow transitions never reach 64
+        // rounds) and every 64 rounds after.
         if rounds & 63 == 0 && zac_telemetry::cancel::cancelled() {
             return Err(ScheduleError::Cancelled);
         }
+        rounds += 1;
         // LPT: among ready jobs take the longest; the ascending scan with a
         // `≥` update reproduces `max_by`'s last-max tie-break exactly.
         let mut winner: Option<usize> = None;

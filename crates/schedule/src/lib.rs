@@ -108,8 +108,8 @@ pub enum ScheduleError {
         /// Rydberg stages in the circuit.
         circuit_stages: usize,
     },
-    /// An installed [`zac_telemetry::cancel::CancelToken`] fired; the
-    /// schedule was abandoned cooperatively (no partial program escapes).
+    /// The deadline installed with [`zac_telemetry::cancel::install`]
+    /// passed; the schedule was abandoned cooperatively (no partial program escapes).
     Cancelled,
 }
 
@@ -280,6 +280,18 @@ mod tests {
         let staged = preprocess(circ);
         let plan = plan_placement(&arch, &staged, &quick_cfg()).unwrap();
         schedule(&arch, &staged, &plan, &ScheduleConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn a_passed_deadline_cancels_even_narrow_transitions() {
+        // GHZ transitions take far fewer than 64 emission rounds, so only
+        // the poll on each transition's first round can see the deadline.
+        let arch = Architecture::reference();
+        let staged = preprocess(&bench_circuits::ghz(8));
+        let plan = plan_placement(&arch, &staged, &quick_cfg()).unwrap();
+        let _deadline = zac_telemetry::cancel::install(std::time::Instant::now());
+        let scheduled = schedule(&arch, &staged, &plan, &ScheduleConfig::default());
+        assert!(matches!(scheduled, Err(ScheduleError::Cancelled)));
     }
 
     #[test]

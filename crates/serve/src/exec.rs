@@ -24,17 +24,15 @@
 //! The invariant everything below serves: **every submitted entry receives
 //! exactly one terminal response**, whatever faults fire.
 //!
-//! * **Panic isolation.** Each worker thread runs its dequeue loop under
-//!   `catch_unwind`; a panicking compile surfaces as
-//!   [`EntryError::Panicked`] on the entry's own response stream, the
-//!   worker is respawned in place (counted in `serve.worker.respawns`),
-//!   and the queue keeps draining.
-//! * **Compile deadlines.** A watchdog thread scans each worker's
-//!   current-job slot and fires that job's
-//!   [`CancelToken`](zac_telemetry::CancelToken) when its deadline passes
-//!   (the stricter of the service-wide compile deadline and the request's
-//!   remaining budget). The SA anneal and the scheduler emit loop poll the
-//!   token and unwind as [`EntryError::Cancelled`].
+//! * **Panic isolation.** Each compile runs under `catch_unwind`; a
+//!   panicking compile surfaces as [`EntryError::Panicked`] on the entry's
+//!   own response stream (counted in `serve.worker.respawns`), and the same
+//!   worker goes on draining the queue.
+//! * **Compile deadlines.** The worker installs the job's deadline (the
+//!   stricter of the service-wide compile deadline and the request's
+//!   remaining budget) as a thread-local [`cancel`](zac_telemetry::cancel)
+//!   scope around the compile. The SA anneal, each placement stage and the
+//!   scheduler emit loop poll it and unwind as [`EntryError::Cancelled`].
 //! * **Circuit breaker.** Per-compiler (by fingerprint): consecutive
 //!   panics/cancellations open the breaker, work is rejected with
 //!   [`RejectReason::BreakerOpen`] during the cooldown, then a single
@@ -45,7 +43,7 @@ use crate::protocol::{Done, EntryError, EntryOutcome, PhaseTotals, Response};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -60,14 +58,14 @@ use zac_telemetry::metrics::{
     SERVE_QUEUE_SHED, SERVE_REQUESTS_COMPLETED, SERVE_REQUESTS_REJECTED, SERVE_REQUEST_LATENCY_MS,
     SERVE_WORKER_RESPAWNS,
 };
-use zac_telemetry::{redact, span, CancelToken, MetricsSnapshot};
+use zac_telemetry::{redact, span, MetricsSnapshot};
 
 /// Resilience knobs threaded down from `ServiceConfig`.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
-    /// Per-entry compile budget in milliseconds, enforced by the watchdog
-    /// through cooperative cancellation. `None` disables the service-wide
-    /// budget (request deadlines still cancel running compiles).
+    /// Per-entry compile budget in milliseconds, enforced through
+    /// cooperative cancellation. `None` disables the service-wide budget
+    /// (request deadlines still cancel running compiles).
     pub compile_deadline_ms: Option<u64>,
     /// Consecutive panics/cancellations that open a compiler's breaker;
     /// `0` disables the breaker entirely.
@@ -214,7 +212,7 @@ impl Breaker {
 
     /// A compile ended without saying anything about the compiler's
     /// health — cancelled by the request's own deadline, not the
-    /// watchdog budget. A half-open probe reverts to `Open` so a fresh
+    /// service-wide budget. A half-open probe reverts to `Open` so a fresh
     /// probe runs after the cooldown instead of wedging in `HalfOpen`;
     /// the failure count is untouched either way.
     fn record_inconclusive(&self, fingerprint: u64) {
@@ -248,21 +246,7 @@ impl Breaker {
     }
 }
 
-// --- worker slots -----------------------------------------------------------
-
-/// What a worker is compiling right now — everything the watchdog needs to
-/// enforce the deadline, and everything the supervisor needs to report the
-/// entry if the compile panics.
-struct CurrentJob {
-    run: Arc<RequestRun>,
-    index: usize,
-    name: String,
-    fingerprint: u64,
-    token: CancelToken,
-    deadline: Option<Instant>,
-}
-
-type Slot = Mutex<Option<CurrentJob>>;
+// --- worker pool ------------------------------------------------------------
 
 struct Shared {
     queue: Mutex<QueueState>,
@@ -271,14 +255,9 @@ struct Shared {
     capacity: usize,
     resilience: ResilienceConfig,
     breaker: Breaker,
-    /// One current-job slot per worker, scanned by the watchdog.
-    slots: Vec<Arc<Slot>>,
     /// Worker panics recovered (always counted; the telemetry counter
     /// `serve.worker.respawns` mirrors it when the recorder is on).
     respawns: AtomicU64,
-    /// Mirror of `QueueState::closed` the watchdog can poll without the
-    /// queue lock.
-    closed: AtomicBool,
 }
 
 /// The worker pool. Dropping it drains nothing: queued jobs are abandoned,
@@ -287,20 +266,17 @@ struct Shared {
 pub struct Executor {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Executor {
     /// Spawns `workers` supervised threads sharing `cache` (queue capacity
-    /// `capacity` jobs), plus the deadline watchdog.
+    /// `capacity` jobs).
     pub fn new(
         workers: usize,
         capacity: usize,
         cache: CompileCache,
         resilience: ResilienceConfig,
     ) -> Self {
-        let workers = workers.max(1);
-        let slots: Vec<Arc<Slot>> = (0..workers).map(|_| Arc::new(Mutex::new(None))).collect();
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { heap: BinaryHeap::new(), next_seq: 0, closed: false }),
             available: Condvar::new(),
@@ -308,28 +284,18 @@ impl Executor {
             capacity,
             breaker: Breaker::new(&resilience),
             resilience,
-            slots,
             respawns: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
         });
-        let workers = (0..workers)
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let slot = Arc::clone(&shared.slots[i]);
                 std::thread::Builder::new()
                     .name(format!("zac-serve-{i}"))
-                    .spawn(move || supervise(&shared, &slot))
+                    .spawn(move || supervise(&shared))
                     .expect("spawn worker")
             })
             .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("zac-serve-watchdog".into())
-                .spawn(move || watchdog_loop(&shared))
-                .expect("spawn watchdog")
-        };
-        Self { shared, workers, watchdog: Some(watchdog) }
+        Self { shared, workers }
     }
 
     /// The shared compile cache.
@@ -337,8 +303,8 @@ impl Executor {
         &self.shared.cache
     }
 
-    /// Worker panics recovered by the supervisor so far (always counted,
-    /// independent of the telemetry recorder).
+    /// Worker panics recovered so far (always counted, independent of the
+    /// telemetry recorder).
     pub fn worker_respawns(&self) -> u64 {
         self.shared.respawns.load(AtomicOrdering::Relaxed)
     }
@@ -482,63 +448,20 @@ impl Drop for Executor {
             queue.heap.clear();
             SERVE_QUEUE_DEPTH.add(-(abandoned as i64));
         }
-        self.shared.closed.store(true, AtomicOrdering::Relaxed);
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().ok();
         }
-        if let Some(watchdog) = self.watchdog.take() {
-            watchdog.join().ok();
-        }
     }
 }
 
-/// The deadline watchdog: scans every worker's current-job slot and fires
-/// the cancel token of any compile past its deadline. Cancellation is
-/// cooperative — the worker unwinds through the normal error path and
-/// reports [`EntryError::Cancelled`] itself.
-fn watchdog_loop(shared: &Shared) {
-    while !shared.closed.load(AtomicOrdering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(1));
-        let now = Instant::now();
-        for slot in &shared.slots {
-            let guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(current) = guard.as_ref() {
-                if current.deadline.is_some_and(|deadline| now >= deadline) {
-                    current.token.cancel();
-                }
-            }
-        }
-    }
-}
-
-/// The worker supervisor: runs the dequeue loop under `catch_unwind`. On a
-/// panic, the entry in the worker's slot (the one being compiled when the
-/// stack unwound) gets its terminal [`EntryError::Panicked`] response, the
-/// breaker records the failure, and the loop restarts — the worker is
-/// respawned in place, and the queue keeps draining.
-fn supervise(shared: &Shared, slot: &Arc<Slot>) {
-    loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, slot))) {
-            // Clean exit: the queue closed.
-            Ok(()) => return,
-            Err(payload) => {
-                shared.respawns.fetch_add(1, AtomicOrdering::Relaxed);
-                SERVE_WORKER_RESPAWNS.incr();
-                let current = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-                if let Some(current) = current {
-                    shared.breaker.record_failure(current.fingerprint);
-                    report(
-                        &current.run,
-                        current.index,
-                        current.name,
-                        EntryOutcome::Failed(EntryError::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    );
-                }
-            }
-        }
+/// Restarts the dequeue loop if the executor's own bookkeeping panics, so
+/// the pool never shrinks. Compile panics never get here: [`process`]
+/// catches them and reports the entry.
+fn supervise(shared: &Shared) {
+    while catch_unwind(AssertUnwindSafe(|| worker_loop(shared))).is_err() {
+        shared.respawns.fetch_add(1, AtomicOrdering::Relaxed);
+        SERVE_WORKER_RESPAWNS.incr();
     }
 }
 
@@ -554,7 +477,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn worker_loop(shared: &Shared, slot: &Arc<Slot>) {
+fn worker_loop(shared: &Shared) {
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
@@ -569,28 +492,27 @@ fn worker_loop(shared: &Shared, slot: &Arc<Slot>) {
             }
         };
         SERVE_QUEUE_DEPTH.add(-1);
-        process(shared, slot, job);
+        process(shared, job);
     }
 }
 
 /// Runs one job: deadline check, breaker admission, then the bench
-/// harness's exact cache get → compile → put sequence under a registered
-/// current-job slot (so the watchdog can cancel it and the supervisor can
-/// report it if it panics).
-fn process(shared: &Shared, slot: &Slot, job: Job) {
-    let run = Arc::clone(&job.run);
+/// harness's exact cache get → compile → put sequence under the job's
+/// deadline, with a panic reported as the entry's own failure.
+fn process(shared: &Shared, job: Job) {
+    let run = &job.run;
     let waited_ms = u64::try_from(run.start.elapsed().as_millis()).unwrap_or(u64::MAX);
     if let Some(deadline_ms) = run.deadline_ms {
         if waited_ms > deadline_ms {
             let reason = RejectReason::DeadlineExpired { deadline_ms, waited_ms };
-            report(&run, job.index, job.staged.name.clone(), EntryOutcome::Rejected(reason));
+            report(run, job.index, job.staged.name.clone(), EntryOutcome::Rejected(reason));
             return;
         }
     }
     let fingerprint = run.compiler.fingerprint();
     if let Admission::Reject { failures, cooldown_ms } = shared.breaker.admit(fingerprint) {
         let reason = RejectReason::BreakerOpen { failures, cooldown_ms };
-        report(&run, job.index, job.staged.name.clone(), EntryOutcome::Rejected(reason));
+        report(run, job.index, job.staged.name.clone(), EntryOutcome::Rejected(reason));
         return;
     }
 
@@ -603,26 +525,16 @@ fn process(shared: &Shared, slot: &Slot, job: Job) {
         (x, None) | (None, x) => x,
     };
     // Whether a deadline cancellation would be attributable to the
-    // service-wide watchdog budget: only then does it say the *compiler*
-    // hangs. A cancel bound by the request's own tighter deadline must
-    // not open the breaker for unrelated clients of the same compiler.
-    let watchdog_bound = service_ms.is_some_and(|a| remaining_ms.is_none_or(|b| a <= b));
-    let token = CancelToken::new();
+    // service-wide budget: only then does it say the *compiler* hangs. A
+    // cancel bound by the request's own tighter deadline must not open the
+    // breaker for unrelated clients of the same compiler.
+    let service_bound = service_ms.is_some_and(|a| remaining_ms.is_none_or(|b| a <= b));
     let started = Instant::now();
-    *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(CurrentJob {
-        run: Arc::clone(&run),
-        index: job.index,
-        name: job.staged.name.clone(),
-        fingerprint,
-        token: token.clone(),
-        deadline: budget_ms.map(|ms| started + Duration::from_millis(ms)),
-    });
-
-    let outcome = compile_entry(shared, &job, &token, started);
-
-    // Deregister before reporting: once the response is out the watchdog
-    // must not cancel (and the supervisor must not re-report) this entry.
-    slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+    let deadline = budget_ms.map(|ms| started + Duration::from_millis(ms));
+    let outcome = catch_unwind(AssertUnwindSafe(|| compile_entry(shared, &job, deadline, started)))
+        .unwrap_or_else(|payload| {
+            EntryOutcome::Failed(EntryError::Panicked { message: panic_message(payload.as_ref()) })
+        });
 
     match &outcome {
         // Only availability failures count against the breaker; compile
@@ -632,30 +544,34 @@ fn process(shared: &Shared, slot: &Slot, job: Job) {
         // it neither counts as a failure nor closes a half-open breaker
         // (the probe slot reverts to open so a fresh probe can run).
         EntryOutcome::Failed(EntryError::Cancelled { .. }) => {
-            if watchdog_bound {
+            if service_bound {
                 shared.breaker.record_failure(fingerprint);
             } else {
                 shared.breaker.record_inconclusive(fingerprint);
             }
         }
-        // Panics never reach here — they unwind into the supervisor,
-        // which records the failure off the worker's slot.
-        EntryOutcome::Failed(EntryError::Panicked { .. }) => {}
+        // A panic costs no thread (this worker takes the next job), but
+        // it is the clearest sign of a crashing compiler.
+        EntryOutcome::Failed(EntryError::Panicked { .. }) => {
+            shared.respawns.fetch_add(1, AtomicOrdering::Relaxed);
+            SERVE_WORKER_RESPAWNS.incr();
+            shared.breaker.record_failure(fingerprint);
+        }
         // Every other completion — success, deterministic compile error,
         // capacity rejection — proves the compiler is alive and closes
         // the breaker. A half-open probe in particular must always end in
         // success/failure/inconclusive, or the breaker wedges half-open.
         _ => shared.breaker.record_success(fingerprint),
     }
-    report(&run, job.index, job.staged.name.clone(), outcome);
+    report(run, job.index, job.staged.name.clone(), outcome);
 }
 
 /// The compile path proper: fault point, then the cache's compile-through
-/// path under the installed cancel scope.
+/// path under the job's deadline scope, if it has a deadline.
 fn compile_entry(
     shared: &Shared,
     job: &Job,
-    token: &CancelToken,
+    deadline: Option<Instant>,
     started: Instant,
 ) -> EntryOutcome {
     let run = &job.run;
@@ -663,14 +579,15 @@ fn compile_entry(
     // shows `[redacted:xxxxxxxx]`, not the customer's circuit name.
     let _span = span!("serve.exec.compile", &redact(&job.staged.name));
     // The executor's own fault point: `io` surfaces as a compile failure,
-    // `panic` unwinds into the supervisor, `delay` stretches the compile
-    // into the watchdog's jurisdiction.
+    // `panic` unwinds into `process`, `delay` stretches the compile past
+    // its deadline (measured from `started`, before the delay).
     if let Some(e) = zac_telemetry::fault_point!("serve.exec.compile") {
         return EntryOutcome::Failed(EntryError::Compile(e.to_string()));
     }
-    // Installed before the cache lookup: nothing in `zac-cache` polls a
-    // `CancelToken`, so only the compile on a miss can observe it.
-    let _scope = token.install();
+    // Installed before the cache lookup: nothing in `zac-cache` polls the
+    // deadline, so only the compile on a miss can observe it. Without a
+    // deadline no scope is installed and the polls never read the clock.
+    let _scope = deadline.map(zac_telemetry::cancel::install);
     match shared.cache.get_or_compile(&*run.compiler, &job.staged) {
         Ok(out) => EntryOutcome::Ok(Box::new(out)),
         Err(CompileError::CircuitTooLarge { needed, available }) => {

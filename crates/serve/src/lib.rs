@@ -26,7 +26,7 @@
 //! workspace root; see DESIGN.md §9).
 //!
 //! The service is hardened against faults (DESIGN.md §10): compiler panics
-//! are isolated per entry (the worker respawns), compile deadlines cancel
+//! are isolated per entry (the worker carries on), compile deadlines cancel
 //! runaway work cooperatively, a per-compiler circuit breaker sheds load
 //! off crashing compilers, and overload sheds strictly-lower-priority
 //! queued work first. Every submitted entry receives exactly one terminal

@@ -141,7 +141,7 @@ pub enum EntryError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The compile was cancelled by the deadline watchdog.
+    /// The compile ran past its deadline and was cancelled cooperatively.
     Cancelled {
         /// Milliseconds the compile ran before cancellation took effect.
         after_ms: u64,

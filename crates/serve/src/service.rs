@@ -36,8 +36,8 @@ pub struct ServiceConfig {
     /// pre-warmed cache to share state with other runners; the default is
     /// a fresh in-memory cache.
     pub cache: CompileCache,
-    /// Per-entry compile budget in milliseconds, enforced by the executor's
-    /// watchdog through cooperative cancellation. `None` (the default)
+    /// Per-entry compile budget in milliseconds, enforced through
+    /// cooperative cancellation inside the compile. `None` (the default)
     /// disables the service-wide budget; request deadlines still apply.
     pub compile_deadline_ms: Option<u64>,
     /// Consecutive panics/cancellations that open a compiler's circuit

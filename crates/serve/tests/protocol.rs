@@ -304,8 +304,8 @@ fn threads_and_vm_kib(pid: u32) -> (usize, usize) {
 }
 
 /// A long session must not leak a thread (or its stack mapping) per
-/// request: the binary keeps one writer, the watchdog and its workers, and
-/// its address space stays flat once warm.
+/// request: the binary keeps main, one writer and its workers, and its
+/// address space stays flat once warm.
 #[cfg(target_os = "linux")]
 #[test]
 fn long_sessions_hold_threads_and_address_space_flat() {
@@ -357,7 +357,7 @@ fn long_sessions_hold_threads_and_address_space_flat() {
             }
         }
     }
-    assert!(max_threads <= WORKERS + 3, "{max_threads} threads for {WORKERS} workers");
+    assert!(max_threads <= WORKERS + 2, "{max_threads} threads for {WORKERS} workers");
 
     drop(stdin);
     assert!(lines.next().is_none(), "every response was already delivered");

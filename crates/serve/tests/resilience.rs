@@ -8,9 +8,11 @@
 //! service suite running in another process.
 
 use std::sync::Mutex;
-use zac_circuit::bench_circuits;
-use zac_circuit::qasm::to_qasm;
-use zac_core::ZacConfig;
+use std::time::{Duration, Instant};
+use zac_arch::Architecture;
+use zac_circuit::qasm::{parse_qasm, to_qasm};
+use zac_circuit::{bench_circuits, preprocess};
+use zac_core::{Compiler, Zac, ZacConfig};
 use zac_serve::{
     CircuitEntry, EntryError, EntryOutcome, RejectReason, Request, Response, Service, ServiceConfig,
 };
@@ -250,7 +252,7 @@ fn compile_deadlines_cancel_runaway_work_cooperatively() {
     let _gate = gate();
     let mut slow = zac_bench::zac_config();
     // Enough SA iterations that the compile runs for tens of milliseconds —
-    // far past the 5 ms budget — unless the watchdog's cancellation lands.
+    // far past the 5 ms budget — unless the deadline poll cancels it.
     // The engine is pinned: only the exhaustive engine always runs the full
     // budget (windowed caps iterations, so a windowed base config would
     // finish before the deadline and see nothing to cancel).
@@ -273,6 +275,57 @@ fn compile_deadlines_cancel_runaway_work_cooperatively() {
     }
     assert!(matches!(responses.last(), Some(Response::Done(d)) if d.failed == 1));
     assert_eq!(service.worker_respawns(), 0, "cancellation unwinds cleanly, no panic");
+}
+
+/// A request deadline binds where the time goes. Under the reduced-SA
+/// config GHZ-1500 spends nearly all of its compile in the dynamic
+/// placement stage loop and the scheduler's narrow transitions (about 3 s
+/// in a debug build, 30× the deadline). Without a poll in every placement
+/// stage and on every transition's first round the entry comes back `ok`
+/// seconds late; with them it is cancelled within 100 ms of its deadline,
+/// and the worker serves the next request exactly as a direct compile.
+#[test]
+fn request_deadline_cancels_placement_and_scheduling_promptly() {
+    const DEADLINE_MS: u64 = 100;
+    let _gate = gate();
+    let service = Service::new(ServiceConfig {
+        workers: 1,
+        zac_config: test_zac_config(),
+        ..Default::default()
+    });
+
+    let mut request = Request::new("long", "Zoned-ZAC", vec![entry(1500)]);
+    request.deadline_ms = Some(DEADLINE_MS);
+    let submitted = Instant::now();
+    let stream = service.submit(request);
+    let Ok(Response::Result { outcome, .. }) = stream.recv() else {
+        panic!("the entry's result comes first");
+    };
+    let elapsed = submitted.elapsed();
+    // Only the outcome's kind: a full compile output is megabytes of text.
+    let kind = match &outcome {
+        EntryOutcome::Ok(_) => "ok",
+        EntryOutcome::Rejected(_) => "rejected",
+        EntryOutcome::Failed(error) => error.kind(),
+    };
+    assert_eq!(kind, "cancelled", "outcome after {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(DEADLINE_MS + 100),
+        "cancelled {elapsed:?} after submission, deadline {DEADLINE_MS} ms"
+    );
+    assert!(matches!(stream.recv(), Ok(Response::Done(d)) if d.failed == 1));
+
+    let responses = drain(&service, Request::new("next", "Zoned-ZAC", vec![entry(8)]));
+    let served = outcomes(&responses)[0].1.output().expect("the next request compiles").clone();
+    let e = entry(8);
+    let circuit = parse_qasm(&e.qasm, &e.name).expect("test QASM parses");
+    let zac = Zac::with_config(Architecture::reference(), test_zac_config());
+    let direct = Compiler::compile(&zac, &preprocess(&circuit)).expect("direct compile");
+    assert_eq!(
+        served.semantic_json().unwrap(),
+        direct.semantic_json().unwrap(),
+        "served output must match a direct compile"
+    );
 }
 
 #[test]

@@ -1,118 +1,97 @@
-//! Cooperative cancellation for long compiles.
+//! Cooperative deadlines for long compiles.
 //!
-//! A watchdog (or any other supervisor) holds a [`CancelToken`] and flips it
-//! when a deadline passes; the worker thread [`install`](CancelToken::install)s
-//! the token for the duration of one compile, and the expensive inner loops
-//! (the SA anneal, the scheduler emit loop) poll [`cancelled`] every few
-//! dozen iterations. A positive poll unwinds as an explicit
-//! `Cancelled` error through the normal `Result` path — no thread is ever
-//! killed, and no partial output escapes.
+//! A worker thread [`install`]s a deadline for the duration of one compile;
+//! the expensive loops (the SA anneal, each dynamic-placement stage, the
+//! scheduler emit loop) poll [`cancelled`], which turns true once that
+//! deadline has passed. A positive poll unwinds as an explicit `Cancelled`
+//! error through the normal `Result` path — no thread is ever killed, no
+//! other thread is involved, and no partial output escapes.
 //!
-//! The disarmed fast path is one relaxed load of a global counter of
-//! installed tokens: when nothing in the process uses cancellation (every
-//! direct CLI/bench compile), [`cancelled`] is `false` without touching
-//! thread-local storage, so the polls are free to leave in the hot loops
-//! and compiler output stays bit-identical.
+//! With no deadline installed (every direct CLI/bench compile, and every
+//! served request without a budget) [`cancelled`] is one thread-local read
+//! that never touches the clock, so the polls are free to leave in the hot
+//! loops and compiler output stays bit-identical.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Number of currently installed scopes across all threads. Zero means
-/// [`cancelled`] can answer `false` from a single relaxed load.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+use std::cell::Cell;
+use std::time::Instant;
 
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// A shared cancellation flag: cloned freely, flipped once, polled cheaply.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent; takes effect at the next poll.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Installs this token as the current thread's cancellation flag until
-    /// the returned scope drops. Scopes nest: dropping restores whatever
-    /// was installed before.
-    pub fn install(&self) -> CancelScope {
-        let previous = CURRENT.with(|c| c.replace(Some(Arc::clone(&self.0))));
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
-        CancelScope { previous }
-    }
+/// Installs `deadline` as the current thread's deadline until the returned
+/// scope drops. Scopes nest: dropping restores whatever was installed
+/// before, also when a panic unwinds through the scope.
+pub fn install(deadline: Instant) -> DeadlineScope {
+    DeadlineScope { previous: DEADLINE.replace(Some(deadline)) }
 }
 
-/// Guard returned by [`CancelToken::install`]; restores the previous
-/// thread-local flag (usually none) on drop.
-pub struct CancelScope {
-    previous: Option<Arc<AtomicBool>>,
+/// Guard returned by [`install`]; restores the previous thread-local
+/// deadline (usually none) on drop.
+pub struct DeadlineScope {
+    previous: Option<Instant>,
 }
 
-impl Drop for CancelScope {
+impl Drop for DeadlineScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.previous.take());
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
+        DEADLINE.set(self.previous);
     }
 }
 
-/// Whether the current thread's installed token (if any) has been
-/// cancelled. With no scopes installed anywhere in the process this is one
-/// relaxed load; inside a scope it adds a thread-local read.
+/// Whether the current thread's installed deadline (if any) has passed.
+/// Without a scope this is one thread-local read; inside one it adds a
+/// clock read.
 #[inline]
 pub fn cancelled() -> bool {
-    if ACTIVE.load(Ordering::Relaxed) == 0 {
-        return false;
-    }
-    CURRENT.with(|c| c.borrow().as_ref().is_some_and(|flag| flag.load(Ordering::Relaxed)))
+    DEADLINE.get().is_some_and(|deadline| Instant::now() >= deadline)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    const HOUR: Duration = Duration::from_secs(3600);
 
     #[test]
-    fn polls_see_the_installed_token_and_scopes_restore() {
-        assert!(!cancelled(), "no scope installed");
-        let token = CancelToken::new();
-        {
-            let _scope = token.install();
-            assert!(!cancelled(), "installed but not yet cancelled");
-            token.cancel();
-            assert!(token.is_cancelled());
-            assert!(cancelled(), "the installed token is polled");
-
-            // Nested scope shadows, drop restores.
-            let inner = CancelToken::new();
-            {
-                let _inner = inner.install();
-                assert!(!cancelled(), "inner scope shadows the cancelled outer token");
-            }
-            assert!(cancelled(), "outer token visible again after the inner scope");
-        }
-        assert!(!cancelled(), "scope dropped: back to the fast path");
+    fn no_scope_is_never_cancelled() {
+        assert!(!cancelled());
     }
 
     #[test]
-    fn cancellation_crosses_threads_through_the_clone() {
-        let token = CancelToken::new();
-        let remote = token.clone();
-        let flipper = std::thread::spawn(move || remote.cancel());
-        flipper.join().expect("flipper thread");
-        let _scope = token.install();
-        assert!(cancelled(), "a clone cancelled on another thread is observed here");
+    fn a_past_deadline_is_cancelled() {
+        let _scope = install(Instant::now());
+        assert!(cancelled());
+    }
+
+    #[test]
+    fn a_future_deadline_is_not_cancelled() {
+        let _scope = install(Instant::now() + HOUR);
+        assert!(!cancelled());
+    }
+
+    #[test]
+    fn nested_scopes_restore_the_outer_one() {
+        {
+            let _outer = install(Instant::now());
+            {
+                let _inner = install(Instant::now() + HOUR);
+                assert!(!cancelled(), "the inner deadline shadows the passed outer one");
+            }
+            assert!(cancelled(), "the outer deadline is back after the inner scope");
+        }
+        assert!(!cancelled(), "every scope dropped: no deadline left");
+    }
+
+    #[test]
+    fn a_scope_dropped_by_a_panic_leaves_no_deadline_behind() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = install(Instant::now());
+            assert!(cancelled());
+            panic!("compile panicked inside the scope");
+        });
+        assert!(unwound.is_err());
+        // A stale deadline here would cancel the next job on this thread.
+        assert!(!cancelled());
     }
 }

@@ -20,8 +20,9 @@
 //!   a seeded [`fault::FaultPlan`] (env `ZAC_FAULTS=seed:spec`) injects IO
 //!   errors, panics, and delays deterministically. Disarmed, every point is
 //!   one relaxed load.
-//! * **Cancellation** — [`cancel::CancelToken`] + [`cancel::cancelled`]
-//!   give watchdogs a cooperative way to stop runaway compiles.
+//! * **Cancellation** — [`cancel::install`] sets a thread's compile
+//!   deadline and [`cancel::cancelled`] lets the hot loops stop cooperatively
+//!   once it has passed.
 //!
 //! Recording is off unless `ZAC_TELEMETRY` is set to a non-empty value other
 //! than `0` (checked once, at the first [`enabled`] query), or a test/tool
@@ -40,7 +41,6 @@ pub mod metrics;
 pub mod redact;
 mod span;
 
-pub use cancel::CancelToken;
 pub use export::chrome_trace_json;
 pub use fault::FaultPlan;
 pub use metrics::MetricsSnapshot;

@@ -163,8 +163,9 @@ fn soaked_service_always_terminates_and_recovers_bit_identical() {
     );
     drop(service);
 
-    // Plan 3 — injected 20 ms delays against a 5 ms compile deadline: the
-    // watchdog cancels delayed entries, undelayed ones compile normally.
+    // Plan 3 — injected 20 ms delays against a 5 ms compile deadline:
+    // delayed entries find their deadline passed at the first poll and are
+    // cancelled, undelayed ones compile normally.
     let service = Service::new(ServiceConfig {
         workers: 4,
         zac_config: soak_config(),
